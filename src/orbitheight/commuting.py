@@ -24,14 +24,14 @@ from .errors import (
     InvalidParameter,
     NotCommuting,
 )
-from .exact import P1Value, height_projective
+from .exact import P1Value, as_pair, height_projective
+from .orbit import State, step
 from .poly import (
     INDETERMINATE,
     RationalFunction,
     RationalMap,
-    apply_map,
     compose,
-    evaluate,
+    evaluate_pairs,
     rf_equal,
 )
 
@@ -132,9 +132,7 @@ def grid_orbit(
 
     m = len(maps)
     origin = (0,) * m
-    points: dict[tuple[int, ...], tuple[Fraction, ...]] = {
-        origin: tuple(Fraction(c) for c in start)
-    }
+    points: dict[tuple[int, ...], State] = {origin: tuple(as_pair(c) for c in start)}
     undefined: set[tuple[int, ...]] = set()
     for s in range(1, norm_bound + 1):
         for idx in _wave(m, s):
@@ -146,9 +144,8 @@ def grid_orbit(
                 prev = points.get(pred)
                 if prev is None:
                     continue
-                outcome = apply_map(maps[i], prev)
-                if outcome[0] == "ok":
-                    value = tuple(outcome[1])
+                value = step(maps[i], prev)
+                if value is not None:
                     break
             if value is None:
                 # unreachable and chart-exit both count as undefined
@@ -158,7 +155,7 @@ def grid_orbit(
 
     entries: dict[tuple[int, ...], GridEntry] = {}
     for idx, point in points.items():
-        v = evaluate(observable, point)
+        v = evaluate_pairs(observable, point)
         if v is INDETERMINATE:
             undefined.add(idx)
             continue

@@ -24,7 +24,7 @@ from .errors import (
     MissingInitialTerm,
     MissingSingularTerm,
 )
-from .exact import height_rational
+from .exact import as_pair, height_rational, reduced_pair
 from .poly import Polynomial, RationalFunction, RationalMap, parse_expression
 
 
@@ -47,9 +47,6 @@ class PRecurrence:
         if self.coeffs[-1].is_zero():
             raise InvalidParameter("trailing coefficient must not be identically zero")
 
-    def trailing_at(self, n: int) -> Fraction:
-        return self.coeffs[-1].evaluate([Fraction(n)])
-
     def singular_indices(self) -> list[int]:
         """All n >= offset with p_r(n) = 0 (finite: integer roots of p_r)."""
         return sorted(
@@ -70,11 +67,7 @@ def _integer_roots(p: Polynomial) -> set[int]:
         roots.add(0)
     # divide out n^low, then integer roots divide the constant term
     shifted = {e[0] - low: c for e, c in p.terms.items()}
-    const = shifted[0]
-    lcm = 1
-    for c in shifted.values():
-        lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
-    c0 = abs(int(const * lcm))
+    c0 = abs(int(shifted[0] * math.lcm(*[c.denominator for c in shifted.values()])))
     for d in _divisors(c0):
         for cand in (d, -d):
             if p.evaluate([Fraction(cand)]) == 0:
@@ -102,23 +95,32 @@ def expand_terms(rec: PRecurrence, n_max: int) -> list[Fraction]:
     where the stored replacement term is used.
     """
     r = rec.order
-    terms: list[Fraction] = []
+    terms: list[tuple[int, int]] = []  # reduced (numerator, denominator > 0)
     for n in range(min(rec.offset + r, n_max + 1)):
         if n not in rec.initial_terms:
             raise MissingInitialTerm(n)
-        terms.append(Fraction(rec.initial_terms[n]))
+        terms.append(as_pair(rec.initial_terms[n]))
     for n in range(rec.offset, n_max + 1 - r):
-        lead = rec.trailing_at(n)
-        if lead == 0:
+        at_n = ((n, 1),)
+        lead_num, lead_den = rec.coeffs[r].pair_at(at_n)
+        if lead_num == 0:
             if n + r not in rec.initial_terms:
                 raise MissingSingularTerm(n)
-            terms.append(Fraction(rec.initial_terms[n + r]))
+            terms.append(as_pair(rec.initial_terms[n + r]))
             continue
-        acc = Fraction(0)
+        # acc = sum_k p_k(n) a_{n+k} over one common denominator, unreduced
+        acc_num, acc_den = 0, 1
         for k in range(r):
-            acc += rec.coeffs[k].evaluate([Fraction(n)]) * terms[n + k]
-        terms.append(-acc / lead)
-    return terms[: n_max + 1]
+            c_num, c_den = rec.coeffs[k].pair_at(at_n)
+            u, v = terms[n + k]
+            den = c_den * v
+            if den == acc_den:
+                acc_num += c_num * u
+            else:
+                acc_num = acc_num * den + c_num * u * acc_den
+                acc_den *= den
+        terms.append(reduced_pair(-acc_num * lead_den, acc_den * lead_num))
+    return [Fraction(u, v) for u, v in terms[: n_max + 1]]
 
 
 def encode_as_dynamics(

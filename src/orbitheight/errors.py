@@ -23,6 +23,10 @@ class AllZero(ValidationError):
     """Every coordinate of a projective point is zero."""
 
 
+class ValueTooLarge(OrbitHeightError):
+    """An exact value is past the interpreter's int-to-str limit for reports."""
+
+
 # --- expression parsing ---
 
 class ExpressionSyntaxError(ValidationError):

@@ -7,31 +7,61 @@ here in double precision (>= 50 bits relative); every comparison that must
 be exact (h = 0, h(a) = h(b), additivity of products) is done on the
 integers themselves, never on the logs.
 
-Rationals are `fractions.Fraction` throughout the package: the stdlib type
-already maintains gcd-reduced numerator / positive denominator form.
+The exact core runs on integers: hot loops carry an affine rational as a
+reduced int pair (numerator, denominator > 0) and spend one gcd per output
+value.  `fractions.Fraction` appears only at the boundary, in parsed input
+and public return types; exact values in report text go through
+:func:`format_int`.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
-from .errors import AllZero
+from .errors import AllZero, ValueTooLarge
 
 Rational = Fraction
 
 
+def format_int(n: int) -> str:
+    """Decimal text of an exact integer; ValueTooLarge past the int-to-str limit."""
+    try:
+        return str(n)
+    except ValueError as exc:
+        limit = sys.get_int_max_str_digits()
+        raise ValueTooLarge(
+            f"an exact value of {n.bit_length()} bits has more than {limit} decimal "
+            "digits, the interpreter's int-to-str limit (raise it with "
+            "PYTHONINTMAXSTRDIGITS)"
+        ) from exc
+
+
+def format_ratio(num: int, den: int) -> str:
+    """Serialize the reduced pair num/den as "p/q", or "p" when den is 1."""
+    return format_int(num) if den == 1 else f"{format_int(num)}/{format_int(den)}"
+
+
 def format_rational(q: Fraction) -> str:
     """Serialize as "p/q", omitting the denominator when it is 1."""
-    return str(q)
+    return format_ratio(q.numerator, q.denominator)
 
 
 def parse_rational(text: str) -> Fraction:
     """Inverse of :func:`format_rational`; accepts "p" and "p/q"."""
     return Fraction(text.strip())
+
+
+def as_pair(q) -> tuple[int, int]:
+    """Reduced (numerator, denominator > 0) of an int, a Fraction, or any
+    other input the `Fraction` constructor accepts."""
+    if not isinstance(q, (int, Fraction)):
+        q = Fraction(q)
+    return q.numerator, q.denominator
 
 
 @dataclass(frozen=True)
@@ -43,28 +73,30 @@ class PrimitiveVector:
     def __post_init__(self):
         if not self.coords:
             raise AllZero("empty coordinate list")
-        if all(c == 0 for c in self.coords):
+        g = gcd(*self.coords)
+        if g == 0:
             raise AllZero("all projective coordinates are zero")
-        g = 0
-        for c in self.coords:
-            g = gcd(g, abs(c))
         if g != 1:
             raise ValueError(f"coordinates not coprime (gcd {g}): {self.coords}")
-        for c in self.coords:
-            if c != 0:
-                if c < 0:
-                    raise ValueError("first nonzero coordinate must be positive")
-                break
+        if next(c for c in self.coords if c) < 0:
+            raise ValueError("first nonzero coordinate must be positive")
+
+    @classmethod
+    def _trusted(cls, coords: tuple[int, ...]):
+        """Internal constructor for coordinates known to be canonical: no checks."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "coords", coords)
+        return self
 
     def __str__(self) -> str:
-        return "(" + ":".join(str(c) for c in self.coords) + ")"
+        return "(" + ":".join(format_int(c) for c in self.coords) + ")"
 
     @property
     def dim(self) -> int:
         return len(self.coords) - 1
 
     def max_abs(self) -> int:
-        return max(abs(c) for c in self.coords)
+        return max(map(abs, self.coords))
 
 
 class P1Value(PrimitiveVector):
@@ -85,21 +117,6 @@ class P1Value(PrimitiveVector):
         return Fraction(self.coords[0], self.coords[1])
 
 
-def _canonical_int_coords(nums: Sequence[int]) -> tuple[int, ...]:
-    g = 0
-    for c in nums:
-        g = gcd(g, abs(c))
-    if g == 0:
-        raise AllZero("all projective coordinates are zero")
-    scaled = [c // g for c in nums]
-    for c in scaled:
-        if c != 0:
-            if c < 0:
-                scaled = [-x for x in scaled]
-            break
-    return tuple(scaled)
-
-
 def normalize_projective(raw: Sequence[Fraction | int]) -> PrimitiveVector:
     """Canonical primitive representative of a projective point over Q.
 
@@ -107,22 +124,41 @@ def normalize_projective(raw: Sequence[Fraction | int]) -> PrimitiveVector:
     nonzero coordinate is positive.  Raises :class:`AllZero` when every
     entry vanishes.
     """
-    fracs = [Fraction(c) for c in raw]
-    lcm = 1
-    for f in fracs:
-        lcm = lcm * f.denominator // gcd(lcm, f.denominator)
-    nums = [int(f * lcm) for f in fracs]
-    return PrimitiveVector(_canonical_int_coords(nums))
+    nums = list(raw)
+    if not all(type(c) is int for c in nums):
+        values = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in nums]
+        scale = lcm(*[q.denominator for q in values])
+        nums = [q.numerator * (scale // q.denominator) for q in values]
+    g = gcd(*nums)
+    if g == 0:
+        raise AllZero("all projective coordinates are zero")
+    for c in nums:
+        if c:
+            if c < 0:
+                g = -g
+            break
+    return PrimitiveVector._trusted(tuple(nums) if g == 1 else tuple([c // g for c in nums]))
+
+
+def reduced_pair(num: int, den: int) -> tuple[int, int]:
+    """The rational num/den (den != 0) as a reduced pair with den > 0."""
+    g = gcd(num, den)
+    if den < 0:
+        g = -g
+    return num // g, den // g
+
+
+def p1_from_ints(num: int, den: int) -> P1Value:
+    """The point (num : den) of P^1 for integers not both zero, with one gcd."""
+    g = gcd(num, den)
+    if num < 0 or (num == 0 and den < 0):
+        g = -g
+    return P1Value._trusted((num // g, den // g))
 
 
 def p1_value(num: Fraction | int, den: Fraction | int) -> P1Value:
     """The point (num : den) of P^1 in canonical coordinates."""
-    fn, fd = Fraction(num), Fraction(den)
-    lcm = fn.denominator * fd.denominator // gcd(fn.denominator, fd.denominator)
-    return P1Value(_canonical_int_coords([int(fn * lcm), int(fd * lcm)]))
-
-
-P1_INFINITY = P1Value((1, 0))
+    return P1Value._trusted(normalize_projective([num, den]).coords)
 
 
 def log_abs(n: int) -> float:
@@ -148,8 +184,7 @@ def segre_product(p: PrimitiveVector, q: PrimitiveVector) -> PrimitiveVector:
     the sign convention is preserved, so heights add exactly:
     max|p_i q_j| = max|p_i| * max|q_j|.
     """
-    coords = tuple(a * b for a in p.coords for b in q.coords)
-    return PrimitiveVector(coords)
+    return PrimitiveVector._trusted(tuple([a * b for a in p.coords for b in q.coords]))
 
 
 def segre_fold(points: Iterable[PrimitiveVector]) -> PrimitiveVector:

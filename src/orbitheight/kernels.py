@@ -21,8 +21,6 @@ from __future__ import annotations
 
 import os
 
-import numpy as np
-
 _CHUNK = 1 << 22  # elements per vectorized block in the numpy path
 
 BACKEND_ENV = "ORBITHEIGHT_BACKEND"
@@ -102,6 +100,8 @@ def count_coprime_range_numpy(k: int, box: int, d0_lo: int, d0_hi: int) -> int:
     Prefix gcds are expanded one digit at a time; prefixes that already hit
     gcd 1 contribute a closed-form block count and leave the working set.
     """
+    import numpy as np  # deferred: jobs that count no points never load numpy
+
     m = 2 * box + 1
     absc = np.abs(np.arange(m, dtype=np.int64) - box)
 

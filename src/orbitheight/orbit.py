@@ -1,7 +1,8 @@
 """Orbit iteration for rational self-maps, with heights and gap diagnostics.
 
 An orbit trace records (n, point, observed value, height) for n = 0..N,
-stopping early if the map or the observable leaves the affine chart.  On
+stopping early if the map or the observable leaves the affine chart; every
+orbit, commuting grids included, advances through :func:`step` on int pairs.  On
 top of traces sit the two desk-scale diagnostics: eventual-periodicity
 detection through repeated value windows, and the height/log n ratio
 statistics (tail sup/inf, below-curve densities).
@@ -14,7 +15,7 @@ import io
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 from .errors import (
     DimensionMismatch,
@@ -22,26 +23,29 @@ from .errors import (
     HorizonTooShort,
     InvalidParameter,
 )
-from .exact import P1Value, format_rational, height_projective
-from .poly import (
-    INDETERMINATE,
-    RationalFunction,
-    RationalMap,
-    apply_map,
-    evaluate,
-)
+from .exact import P1Value, as_pair, format_ratio, height_projective, reduced_pair
+from .poly import INDETERMINATE, RationalFunction, RationalMap, evaluate_pairs
 
 COMPLETED = "completed"
 HIT_MAP_INDETERMINACY = "map-indeterminacy"
 HIT_OBSERVABLE_INDETERMINACY = "observable-indeterminacy"
 
 
+State = tuple[tuple[int, int], ...]
+
+
 @dataclass(frozen=True)
 class OrbitRow:
+    """Row n of a trace; `state` is the point as reduced int pairs."""
+
     n: int
-    point: tuple[Fraction, ...]
+    state: State
     value: P1Value
     height: float
+
+    @property
+    def point(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(a, b) for a, b in self.state)
 
 
 @dataclass(frozen=True)
@@ -65,32 +69,47 @@ class OrbitTrace:
         return [r.height for r in self.rows]
 
 
+def step(phi: RationalMap, state: State) -> Optional[State]:
+    """phi applied to a state of reduced int pairs; None when some
+    component is infinite or indeterminate there (leaves the affine chart)."""
+    out = []
+    for comp in phi.components:
+        num, den = comp.pair_at(state)
+        if den == 0:
+            return None
+        out.append(reduced_pair(num, den))
+    return tuple(out)
+
+
+def _check_start(phi: RationalMap, start: Sequence[Fraction]) -> None:
+    if len(start) != phi.dim or not phi.is_self_map():
+        raise DimensionMismatch(
+            f"start point of length {len(start)} for a map of dimension {phi.dim}"
+        )
+
+
+def _states(phi: RationalMap, start: Sequence[Fraction], n_steps: int) -> Iterator[State]:
+    """States for n = 0..n_steps, each computed when requested, ending at a chart exit."""
+    state = tuple(as_pair(c) for c in start)
+    yield state
+    for _ in range(n_steps):
+        state = step(phi, state)
+        if state is None:
+            return
+        yield state
+
+
 def iterate_points(phi: RationalMap, start: Sequence[Fraction], n_steps: int):
     """Forward orbit points for n = 0..n_steps, stopping at chart exits.
 
     Returns (points, stop_index) where stop_index is None when all steps
     are defined, else the first n whose point could not be computed.
     """
-    if len(start) != phi.dim or not phi.is_self_map():
-        raise DimensionMismatch(
-            f"start point of length {len(start)} for a map of dimension {phi.dim}"
-        )
-    point = [Fraction(c) for c in start]
-    points = [tuple(point)]
-    for n in range(n_steps):
-        status, result = _step(phi, point)
-        if status != "ok":
-            return points, n + 1
-        point = result
-        points.append(tuple(point))
-    return points, None
-
-
-def _step(phi: RationalMap, point):
-    outcome = apply_map(phi, point)
-    if outcome[0] == "ok":
-        return "ok", outcome[1]
-    return outcome[0], None
+    _check_start(phi, start)
+    points = [
+        tuple(Fraction(a, b) for a, b in state) for state in _states(phi, start, n_steps)
+    ]
+    return points, (None if len(points) == n_steps + 1 else len(points))
 
 
 def iterate_orbit(
@@ -109,26 +128,18 @@ def iterate_orbit(
         raise InvalidParameter("horizon must be nonnegative")
     if observable.variables != phi.variables:
         raise DimensionMismatch("observable and map must share a variable list")
-    if len(start) != phi.dim or not phi.is_self_map():
-        raise DimensionMismatch(
-            f"start point of length {len(start)} for a map of dimension {phi.dim}"
-        )
-    point = tuple(Fraction(c) for c in start)
+    _check_start(phi, start)
     rows: list[OrbitRow] = []
     stop_reason, stop_index = COMPLETED, None
-    for n in range(n_max + 1):
-        value = evaluate(observable, point)
+    for n, state in enumerate(_states(phi, start, n_max)):
+        value = evaluate_pairs(observable, state)
         if value is INDETERMINATE:
             stop_reason, stop_index = HIT_OBSERVABLE_INDETERMINACY, n
             break
-        rows.append(OrbitRow(n, point, value, height_projective(value)))
-        if n == n_max:
-            break
-        status, nxt = _step(phi, point)
-        if status != "ok":
-            stop_reason, stop_index = HIT_MAP_INDETERMINACY, n + 1
-            break
-        point = tuple(nxt)
+        rows.append(OrbitRow(n, state, value, height_projective(value)))
+    else:
+        if len(rows) <= n_max:
+            stop_reason, stop_index = HIT_MAP_INDETERMINACY, len(rows)
     return OrbitTrace(
         map=phi,
         observable=observable,
@@ -293,7 +304,7 @@ def trace_to_csv(trace: OrbitTrace) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["n", "point", "value", "height", "ratio"])
     for row in trace.rows:
-        point_s = ";".join(format_rational(c) for c in row.point)
+        point_s = ";".join(format_ratio(a, b) for a, b in row.state)
         ratio = "" if row.n <= 1 else f"{row.height / math.log(row.n):.6f}"
         writer.writerow([row.n, point_s, str(row.value), f"{row.height:.6f}", ratio])
     return buf.getvalue()

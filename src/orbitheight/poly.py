@@ -1,10 +1,15 @@
 """Multivariate polynomials and rational functions over Q.
 
 Polynomials are sparse maps from exponent vector to nonzero Fraction
-coefficient.  Rational functions are stored as num/den pairs reduced only
-by integer content (no multivariate gcd); equality is decided by
-cross-multiplication.  Serialization follows graded-lexicographic term
-order so equal objects print identically.
+coefficient; that is their parse and serialization form.  Rational
+functions are stored as num/den pairs reduced only by integer content (no
+multivariate gcd); equality is decided by cross-multiplication.
+Serialization follows graded-lexicographic term order so equal objects
+print identically.
+
+Evaluation runs on integers: on first use a polynomial or rational function
+compiles itself into an :class:`_IntForm`, which takes a point as reduced int
+pairs (a_i, b_i), b_i > 0, and returns integer numerator and denominator.
 
 Because denominators are never minimized, two presentations of the same
 function can have different representation-level domains: evaluation and
@@ -27,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Sequence, Union
 
 from .errors import (
@@ -36,7 +41,7 @@ from .errors import (
     UnknownVariable,
     ZeroDenominator,
 )
-from .exact import P1Value, p1_value
+from .exact import P1Value, as_pair, p1_from_ints
 
 
 class Indeterminate:
@@ -64,10 +69,61 @@ def _grlex_key(exponents: tuple[int, ...]):
     return (sum(exponents), exponents)
 
 
+class _IntForm:
+    """Integer evaluator of num/den polynomials given as {exponents: int}.
+
+    With D_i the largest exponent of variable i in either polynomial, at
+    reduced pairs (a_i, b_i) it returns each polynomial times prod b_i^D_i:
+    sum c_e prod a_i^e_i b_i^(D_i - e_i).  A term is stored as its integer
+    coefficient and the positions of its factors in the flat list of powers
+    a_i^1..a_i^D_i, b_i^1..b_i^D_i that `pair_at` builds per point.
+    """
+
+    __slots__ = ("degrees", "num", "den")
+
+    def __init__(self, num: dict[tuple[int, ...], int], den: dict[tuple[int, ...], int]):
+        self.degrees = tuple(max(col) for col in zip(*num, *den))
+        starts = [sum(2 * d for d in self.degrees[:i]) for i in range(len(self.degrees))]
+
+        def factors(exps):
+            at = list(zip(starts, self.degrees, exps))
+            return tuple(s + e - 1 for s, _, e in at if e) + tuple(
+                s + d + (d - e) - 1 for s, d, e in at if d - e
+            )
+
+        self.num = tuple((c, factors(e)) for e, c in num.items())
+        self.den = tuple((c, factors(e)) for e, c in den.items())
+
+    def pair_at(self, pairs: Sequence[tuple[int, int]]) -> tuple[int, int]:
+        """Homogenized (numerator, denominator) at reduced pairs, unreduced."""
+        if len(pairs) != len(self.degrees):
+            raise DimensionMismatch(
+                f"point has {len(pairs)} coordinates, expected {len(self.degrees)}"
+            )
+        powers = []
+        for (a, b), d in zip(pairs, self.degrees):
+            if d:
+                pa, pb = [a], [b]
+                for _ in range(d - 1):
+                    pa.append(pa[-1] * a)
+                    pb.append(pb[-1] * b)
+                powers += pa
+                powers += pb
+        values = []
+        for terms in (self.num, self.den):
+            total = 0
+            for c, factors in terms:
+                for j in factors:
+                    c *= powers[j]
+                total += c
+            values.append(total)
+        return values[0], values[1]
+
+
 class Polynomial:
     """Sparse polynomial over Q in a fixed ordered tuple of variables."""
 
-    __slots__ = ("variables", "terms")
+    __slots__ = ("variables", "terms", "_form")
 
     def __init__(self, variables: Sequence[str], terms: dict[tuple[int, ...], Fraction]):
         self.variables = tuple(variables)
@@ -82,6 +138,7 @@ class Polynomial:
             if c != 0:
                 clean[tuple(exps)] = c
         self.terms = clean
+        self._form = None
 
     # --- constructors ---
 
@@ -111,12 +168,6 @@ class Polynomial:
             raise ValueError("polynomial is not constant")
         zero = (0,) * len(self.variables)
         return self.terms.get(zero, Fraction(0))
-
-    def total_degree(self) -> int:
-        """Degree of the zero polynomial is -1 by convention here."""
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
 
     def leading_coefficient(self) -> Fraction:
         """Coefficient of the graded-lex leading term (0 for the zero poly)."""
@@ -182,20 +233,20 @@ class Polynomial:
 
     # --- evaluation / substitution ---
 
-    def evaluate(self, point: Sequence[Fraction]) -> Fraction:
-        if len(point) != len(self.variables):
-            raise DimensionMismatch(
-                f"point has {len(point)} coordinates, expected {len(self.variables)}"
+    def pair_at(self, pairs: Sequence[tuple[int, int]]) -> tuple[int, int]:
+        """Value at reduced int pairs as an unreduced (num, den), den > 0."""
+        if self._form is None:
+            scale = lcm(*[c.denominator for c in self.terms.values()])
+            zero = (0,) * len(self.variables)
+            self._form = _IntForm(
+                {e: c.numerator * (scale // c.denominator) for e, c in self.terms.items()},
+                {zero: scale},
             )
-        point = [Fraction(p) for p in point]
-        total = Fraction(0)
-        for exps, coeff in self.terms.items():
-            value = coeff
-            for base, e in zip(point, exps):
-                if e:
-                    value *= base**e
-            total += value
-        return total
+        return self._form.pair_at(pairs)
+
+    def evaluate(self, point: Sequence[Fraction]) -> Fraction:
+        num, den = self.pair_at([as_pair(p) for p in point])
+        return Fraction(num, den)
 
     def substitute(self, args: Sequence["RationalFunction"]) -> "RationalFunction":
         """Plug rational functions in for the variables (symbolic evaluation)."""
@@ -260,13 +311,25 @@ class RationalFunction:
     :func:`rf_equal` for mathematical equality.
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ("num", "den", "_form")
 
     def __init__(self, num: Polynomial, den: Polynomial):
         num._check_same_vars(den)
         if den.is_zero():
             raise ZeroDenominator(f"denominator of {num}/{den} is identically zero")
         self.num, self.den = _content_canonical(num, den)
+        self._form = None
+
+    def pair_at(self, pairs: Sequence[tuple[int, int]]) -> tuple[int, int]:
+        """(num, den) values at reduced int pairs, both scaled by one positive
+        integer and left unreduced; (0, 0) on the indeterminacy locus."""
+        if self._form is None:
+            # _content_canonical leaves integral coefficients
+            self._form = _IntForm(
+                {e: c.numerator for e, c in self.num.terms.items()},
+                {e: c.numerator for e, c in self.den.terms.items()},
+            )
+        return self._form.pair_at(pairs)
 
     @property
     def variables(self) -> tuple[str, ...]:
@@ -334,13 +397,9 @@ class RationalFunction:
 
 def _content_canonical(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Polynomial]:
     coeffs = list(num.terms.values()) + list(den.terms.values())
-    lcm = 1
-    for c in coeffs:
-        lcm = lcm * c.denominator // gcd(lcm, c.denominator)
-    g = 0
-    for c in coeffs:
-        g = gcd(g, abs(c.numerator * (lcm // c.denominator)))
-    scale = Fraction(lcm, g) if g else Fraction(1)
+    common = lcm(*[c.denominator for c in coeffs])
+    g = gcd(*[c.numerator * (common // c.denominator) for c in coeffs])
+    scale = Fraction(common, g) if g else Fraction(1)
     if den.leading_coefficient() * scale < 0:
         scale = -scale
     return num.scale(scale), den.scale(scale)
@@ -353,13 +412,17 @@ def evaluate(rf: RationalFunction, point: Sequence[Fraction]) -> Union[P1Value, 
     the point at infinity (1 : 0) when only the denominator vanishes, and
     `INDETERMINATE` when both vanish.
     """
-    n = rf.num.evaluate(point)
-    d = rf.den.evaluate(point)
-    if d != 0:
-        return p1_value(n, d)
-    if n != 0:
-        return P1Value((1, 0))
-    return INDETERMINATE
+    return evaluate_pairs(rf, [as_pair(p) for p in point])
+
+
+def evaluate_pairs(
+    rf: RationalFunction, pairs: Sequence[tuple[int, int]]
+) -> Union[P1Value, Indeterminate]:
+    """:func:`evaluate` at a point given as reduced int pairs (a_i, b_i), b_i > 0."""
+    n, d = rf.pair_at(pairs)
+    if n == 0 and d == 0:
+        return INDETERMINATE
+    return p1_from_ints(n, d)
 
 
 @dataclass(frozen=True)
@@ -403,14 +466,13 @@ def apply_map(phi: RationalMap, point: Sequence[Fraction]):
     leaves the chart.  Exiting to infinity counts as leaving the chart even
     though the orbit may continue projectively.
     """
+    pairs = [as_pair(p) for p in point]
     values = []
     for i, comp in enumerate(phi.components):
-        v = evaluate(comp, point)
-        if v is INDETERMINATE:
-            return ("indeterminate", i)
-        if v.is_infinity:
-            return ("infinity", i)
-        values.append(v.as_fraction())
+        n, d = comp.pair_at(pairs)
+        if d == 0:
+            return ("indeterminate" if n == 0 else "infinity", i)
+        values.append(Fraction(n, d))
     return ("ok", values)
 
 

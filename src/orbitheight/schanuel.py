@@ -17,8 +17,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-import numpy as np
-
 from .errors import BudgetExceeded, InvalidParameter
 from .kernels import count_coprime_range
 
@@ -132,7 +130,9 @@ def count_points_mobius(n: int, bound: int) -> int:
     return total // 2
 
 
-def _mobius_sieve(limit: int) -> np.ndarray:
+def _mobius_sieve(limit: int):
+    import numpy as np  # deferred, as in kernels
+
     mu = np.ones(limit + 1, dtype=np.int64)
     primes_mask = np.ones(limit + 1, dtype=bool)
     for p in range(2, limit + 1):
@@ -154,6 +154,8 @@ def zeta(s: int, terms: int = _ZETA_TERMS) -> float:
     """
     if s < 2:
         raise InvalidParameter("zeta is summed directly only for s >= 2")
+    import numpy as np  # deferred, as in kernels
+
     j = np.arange(1, terms + 1, dtype=np.float64)
     partial = float(np.sum(j ** (-float(s))))
     tail = terms ** (1 - s) / (s - 1) + 0.5 * terms ** (-s)

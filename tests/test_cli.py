@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import subprocess
 import sys
@@ -71,6 +72,15 @@ def test_run_cli_process_roundtrip(tmp_path):
     )
     assert result.returncode == 0
     assert (tmp_path / "density-evens.report.csv").exists()
+
+
+@pytest.mark.skipif(importlib.util.find_spec("numba") is not None,
+                    reason="the numba kernel backend imports numpy at import time")
+def test_cli_import_does_not_load_numpy():
+    code = "import sys, orbitheight.cli; print('numpy' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"
 
 
 def test_validate_catalog_jobs():
@@ -167,3 +177,35 @@ def test_run_job_from_explicit_path(tmp_path):
 def test_validation_error_type():
     with pytest.raises(ValidationError):
         run_job("definitely-not-a-job")
+
+
+@pytest.fixture
+def int_str_limit():
+    """Pin CPython's int-to-str digit limit at its default for one test."""
+    if not hasattr(sys, "get_int_max_str_digits"):
+        pytest.skip("this interpreter has no int-to-str digit limit")
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        yield 4300
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+@pytest.mark.parametrize("job", [
+    # values of x^2+1 from 1/3 pass 4300 digits at n = 13
+    {"kind": "orbit", "variables": ["x"], "map": ["x^2+1"],
+     "observable": "x", "start": ["1/3"], "N": 13},
+    # the factorial job: n! passes 4300 digits before n = 2000
+    {"kind": "dfinite", "order": 1, "coeffs": ["-(n+1)", "1"],
+     "initial": {"0": "1"}, "offset": 0, "N": 2000},
+], ids=["orbit-square", "factorial"])
+def test_value_past_int_str_limit_exit_3_no_output(job, tmp_path, capsys, int_str_limit):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(job))
+    out_dir = tmp_path / "out"
+    assert main(["run", str(path), "--out", str(out_dir)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("runtime error:")
+    assert f"{int_str_limit} decimal digits" in err
+    assert not out_dir.exists()

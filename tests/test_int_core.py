@@ -1,0 +1,222 @@
+"""Differential tests: the integer core against a Fraction reference evaluator.
+
+The oracle below works in `Fraction` arithmetic: polynomials are summed
+term by term, P^1 values are canonicalized through the validating public
+constructor, and orbits are stepped one `Fraction` point at a time.  The
+compiled integer evaluators, `apply_map`, and the int-pair stepper behind
+`iterate_orbit` and `iterate_points` must agree with it exactly, including
+where numerators or denominators vanish.
+"""
+
+from fractions import Fraction
+
+from hypothesis import event, given, settings, strategies as st
+
+from orbitheight.exact import P1Value
+from orbitheight.orbit import (
+    COMPLETED,
+    HIT_MAP_INDETERMINACY,
+    HIT_OBSERVABLE_INDETERMINACY,
+    iterate_orbit,
+    iterate_points,
+)
+from orbitheight.poly import (
+    INDETERMINATE,
+    Polynomial,
+    RationalFunction,
+    RationalMap,
+    apply_map,
+    evaluate,
+)
+
+VARIABLES = ("x", "y", "z")
+
+
+# --- the Fraction oracle ---
+
+def oracle_poly(poly: Polynomial, point) -> Fraction:
+    total = Fraction(0)
+    for exps, coeff in poly.terms.items():
+        value = Fraction(coeff)
+        for base, e in zip(point, exps):
+            value *= Fraction(base) ** e
+        total += value
+    return total
+
+
+def oracle_p1(num: Fraction, den: Fraction) -> P1Value:
+    if den == 0:
+        return P1Value((1, 0))
+    q = num / den
+    coords = (q.numerator, q.denominator)
+    if q < 0:
+        coords = (-coords[0], -coords[1])
+    return P1Value(coords)
+
+
+def oracle_evaluate(rf: RationalFunction, point):
+    n, d = oracle_poly(rf.num, point), oracle_poly(rf.den, point)
+    if n == 0 and d == 0:
+        return INDETERMINATE
+    return oracle_p1(n, d)
+
+
+def oracle_apply_map(phi: RationalMap, point):
+    values = []
+    for i, comp in enumerate(phi.components):
+        v = oracle_evaluate(comp, point)
+        if v is INDETERMINATE:
+            return ("indeterminate", i)
+        if v.is_infinity:
+            return ("infinity", i)
+        values.append(Fraction(v.coords[0], v.coords[1]))
+    return ("ok", values)
+
+
+def oracle_orbit(phi, observable, start, n_max):
+    """(points, values, stop_reason, stop_index) of the former stepping loop."""
+    point = tuple(Fraction(c) for c in start)
+    points, values = [], []
+    for n in range(n_max + 1):
+        value = oracle_evaluate(observable, point)
+        if value is INDETERMINATE:
+            return points, values, HIT_OBSERVABLE_INDETERMINACY, n
+        points.append(point)
+        values.append(value)
+        if n == n_max:
+            break
+        status, nxt = oracle_apply_map(phi, point)
+        if status != "ok":
+            return points, values, HIT_MAP_INDETERMINACY, n + 1
+        point = tuple(nxt)
+    return points, values, COMPLETED, None
+
+
+def oracle_points(phi, start, n_steps):
+    point = tuple(Fraction(c) for c in start)
+    points = [point]
+    for n in range(n_steps):
+        status, nxt = oracle_apply_map(phi, point)
+        if status != "ok":
+            return points, n + 1
+        point = tuple(nxt)
+        points.append(point)
+    return points, None
+
+
+# --- strategies ---
+
+small_rationals = st.fractions(
+    min_value=Fraction(-3), max_value=Fraction(3), max_denominator=4
+)
+
+
+@st.composite
+def polynomials(draw, variables, max_degree=3, max_terms=4):
+    nvars = len(variables)
+    exps = st.tuples(*[st.integers(0, max_degree)] * nvars)
+    terms = draw(st.dictionaries(exps, small_rationals, max_size=max_terms))
+    return Polynomial(variables, terms)
+
+
+def vanishing_at(poly: Polynomial, point) -> Polynomial:
+    """poly minus its value at point: a polynomial through that point."""
+    value = oracle_poly(poly, point)
+    return poly - Polynomial.constant(poly.variables, value)
+
+
+@st.composite
+def rational_function_and_point(draw):
+    nvars = draw(st.integers(1, 3))
+    variables = VARIABLES[:nvars]
+    point = tuple(draw(st.lists(small_rationals, min_size=nvars, max_size=nvars)))
+    num = draw(polynomials(variables))
+    den = draw(polynomials(variables))
+    if draw(st.booleans()):
+        num = vanishing_at(num, point)
+    if draw(st.booleans()):
+        den = vanishing_at(den, point)
+        if den.is_zero():  # a constant den: vanish through x - x_0 instead
+            den = vanishing_at(Polynomial.variable(variables, variables[0]), point)
+    elif den.is_zero():
+        den = Polynomial.constant(variables, draw(small_rationals.map(lambda q: q or 1)))
+    return RationalFunction(num, den), point
+
+
+@st.composite
+def maps_and_starts(draw):
+    """Low-degree self-maps in 1 or 2 variables, with small starts, so that
+    short orbits meet vanishing denominators often."""
+    nvars = draw(st.integers(1, 2))
+    variables = VARIABLES[:nvars]
+    comps = []
+    for _ in range(nvars + 1):  # nvars map components plus the observable
+        num = draw(polynomials(variables, max_degree=2, max_terms=3))
+        den = draw(polynomials(variables, max_degree=1, max_terms=2))
+        if den.is_zero():
+            den = Polynomial.constant(variables, 1)
+        comps.append(RationalFunction(num, den))
+    start = tuple(draw(st.lists(small_rationals, min_size=nvars, max_size=nvars)))
+    return RationalMap(variables, tuple(comps[:-1])), comps[-1], start
+
+
+# --- differential checks ---
+
+@given(rational_function_and_point())
+def test_evaluate_matches_fraction_oracle(case):
+    rf, point = case
+    expected = oracle_evaluate(rf, point)
+    event("indeterminate" if expected is INDETERMINATE
+          else "infinity" if expected.is_infinity else "affine")
+    assert evaluate(rf, point) == expected
+    assert rf.num.evaluate(point) == oracle_poly(rf.num, point)
+    assert rf.den.evaluate(point) == oracle_poly(rf.den, point)
+
+
+@given(maps_and_starts())
+def test_apply_map_matches_fraction_oracle(case):
+    phi, _, start = case
+    assert apply_map(phi, start) == oracle_apply_map(phi, start)
+
+
+@settings(max_examples=200)
+@given(maps_and_starts(), st.integers(0, 6))
+def test_stepper_matches_fraction_oracle(case, n_max):
+    phi, observable, start = case
+    points, values, stop_reason, stop_index = oracle_orbit(phi, observable, start, n_max)
+    event(stop_reason)
+    trace = iterate_orbit(phi, observable, start, n_max)
+    assert (trace.stop_reason, trace.stop_index) == (stop_reason, stop_index)
+    assert [row.point for row in trace.rows] == points
+    assert [row.value for row in trace.rows] == values
+    # states are reduced pairs with positive denominators
+    assert [row.state for row in trace.rows] == [
+        tuple((q.numerator, q.denominator) for q in p) for p in points
+    ]
+
+    assert iterate_points(phi, start, n_max) == oracle_points(phi, start, n_max)
+
+
+def test_oracle_cases_cover_every_stop():
+    """Fixed orbits for each stop reason, with the oracle as the expected value."""
+    x = ("x",)
+    t = Polynomial.variable(x, "x")
+    one = Polynomial.constant(x, 1)
+    recip = RationalMap(x, (RationalFunction(one, t),))  # 1/x
+    ident = RationalFunction.from_polynomial(t)
+    pole = RationalFunction(one, t - one)  # 1/(x-1)
+    shift = RationalMap(x, (RationalFunction.from_polynomial(t + one),))
+    cases = [
+        (recip, ident, (Fraction(2),), 4, COMPLETED),
+        (recip, ident, (Fraction(0),), 4, HIT_MAP_INDETERMINACY),
+        (shift, pole, (Fraction(-2),), 5, COMPLETED),  # value at infinity is a value
+        (shift, RationalFunction(t - one, t - one), (Fraction(-1),), 5,
+         HIT_OBSERVABLE_INDETERMINACY),
+    ]
+    for phi, observable, start, n_max, expected in cases:
+        points, values, stop_reason, stop_index = oracle_orbit(phi, observable, start, n_max)
+        assert stop_reason == expected
+        trace = iterate_orbit(phi, observable, start, n_max)
+        assert (trace.stop_reason, trace.stop_index) == (stop_reason, stop_index)
+        assert [row.point for row in trace.rows] == points
+        assert [row.value for row in trace.rows] == values
