@@ -1,11 +1,11 @@
 """Orbit iteration for rational self-maps, with heights and gap diagnostics.
 
 An orbit trace records (n, point, observed value, height) for n = 0..N,
-stopping early if the map or the observable leaves the affine chart; every
-orbit, commuting grids included, advances through :func:`step` on int pairs.  On
-top of traces sit the two desk-scale diagnostics: eventual-periodicity
-detection through repeated value windows, and the height/log n ratio
-statistics (tail sup/inf, below-curve densities).
+stopping early if the map or the observable leaves the affine chart.  Every
+orbit, commuting grids included, advances through :func:`step` on int
+pairs.  On top of traces sit the two desk-scale diagnostics:
+eventual-periodicity detection through repeated value windows, and the
+height/log n ratio statistics (tail sup/inf, below-curve densities).
 """
 
 from __future__ import annotations
