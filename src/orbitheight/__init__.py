@@ -8,7 +8,7 @@ Subpackages by concern:
 - commuting: commuting-map grids and norm-sliced diagnostics
 - dfinite: P-recursive sequences, growth classification, dynamical encoding
 - density: eventually-periodic subsets of N, exact densities and shift sets
-- schanuel: point counting of bounded height (kernels: numba/numpy backends)
+- schanuel: exact point counting of bounded height by Moebius inversion
 - dml: return sets and arithmetic-progression decomposition
 - cli: the `orbitheight` batch front-end
 """

@@ -465,11 +465,10 @@ def main(argv=None) -> int:
     p_run = sub.add_parser("run", help="run a job file and write reports")
     p_run.add_argument("job", help="path to a job JSON file, or a catalog name")
     p_run.add_argument("--out", default=None, help="directory for report files")
-    p_run.add_argument("--threads", type=int, default=1, help="worker cap")
-    p_run.add_argument(
-        "--budget", type=int, default=schanuel_mod.DEFAULT_BUDGET,
-        help="enumeration budget for point counting",
-    )
+    p_run.add_argument("--threads", type=int, default=1,
+                       help="accepted; jobs run single-threaded (point counts need >= 1)")
+    p_run.add_argument("--budget", type=int, default=schanuel_mod.DEFAULT_BUDGET,
+                       help="point counts: largest box size (2B+1)^(n+1), else exit 3")
 
     sub.add_parser("catalog", help="list bundled example jobs")
 

@@ -122,6 +122,6 @@ class HypothesisViolated(ValidationError):
 
 class BudgetExceeded(OrbitHeightError):
     def __init__(self, needed: int, budget: int):
-        super().__init__(f"enumeration needs {needed} points, budget is {budget}")
+        super().__init__(f"box (2B+1)^(n+1) has {needed} vectors, budget is {budget}")
         self.needed = needed
         self.budget = budget

@@ -1,4 +1,3 @@
-import importlib.util
 import json
 import subprocess
 import sys
@@ -74,13 +73,23 @@ def test_run_cli_process_roundtrip(tmp_path):
     assert (tmp_path / "density-evens.report.csv").exists()
 
 
-@pytest.mark.skipif(importlib.util.find_spec("numba") is not None,
-                    reason="the numba kernel backend imports numpy at import time")
 def test_cli_import_does_not_load_numpy():
     code = "import sys, orbitheight.cli; print('numpy' in sys.modules)"
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "False"
+
+
+def test_point_count_run_does_not_load_numpy(tmp_path):
+    code = (
+        "import sys; from orbitheight.cli import main; "
+        f"rc = main(['run', 'schanuel-p1', '--out', {str(tmp_path)!r}]); "
+        "print(rc, 'numpy' in sys.modules)"
+    )
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "0 False"
+    assert (tmp_path / "schanuel-p1.report.csv").exists()
 
 
 def test_validate_catalog_jobs():
@@ -157,6 +166,7 @@ def test_budget_flag(tmp_path):
     job = tmp_path / "tight.json"
     job.write_text(json.dumps({"kind": "schanuel", "n": 1, "B_list": [10]}))
     assert main(["run", str(job), "--out", str(tmp_path / "out"), "--budget", "100"]) == 3
+    assert not (tmp_path / "out").exists()
     assert main(["run", str(job), "--out", str(tmp_path / "out2")]) == 0
 
 

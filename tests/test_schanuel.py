@@ -33,8 +33,11 @@ def test_against_oracle_higher_dim():
 
 
 def test_mobius_fast_path_agrees():
+    # count_points is the Moebius sum; check that sum against the box walk
     for n, bound in [(1, 50), (1, 137), (2, 30), (3, 8)]:
-        assert count_points_mobius(n, bound) == count_points(n, bound).count
+        expected = count_points_oracle(n, bound)
+        assert count_points_mobius(n, bound) == expected
+        assert count_points(n, bound).count == expected
 
 
 def test_monotone_and_bounded():
@@ -89,11 +92,21 @@ def test_invalid_parameters():
 
 
 def test_zeta_values():
-    assert zeta(2) == pytest.approx(math.pi**2 / 6, abs=1e-9)
-    assert zeta(3) == pytest.approx(1.2020569031595943, abs=1e-9)
-    assert zeta(4) == pytest.approx(math.pi**4 / 90, abs=1e-9)
+    assert zeta(2) == pytest.approx(math.pi**2 / 6, abs=1e-14)
+    assert zeta(3) == pytest.approx(1.2020569031595943, abs=1e-14)
+    assert zeta(4) == pytest.approx(math.pi**4 / 90, abs=1e-14)
+    assert zeta(6) == pytest.approx(math.pi**6 / 945, abs=1e-14)
     with pytest.raises(InvalidParameter):
         zeta(1)
+
+
+def test_analytic_constant_report_strings():
+    # the six-decimal strings the reports carried when zeta was a 10^6-term sum
+    expected = [
+        "1.215854", "3.327629", "7.391507", "15.430197", "31.454483",
+        "63.470071", "127.480218", "255.486882", "511.491283", "1023.494201",
+    ]
+    assert [f"{analytic_constant(n):.6f}" for n in range(1, 11)] == expected
 
 
 def test_analytic_constants():
