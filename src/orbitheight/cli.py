@@ -433,6 +433,7 @@ def run_job(
     bad input and other OrbitHeightError subclasses for runtime failures;
     nothing is written unless the run completed.
     """
+    _require(threads >= 1, "threads must be >= 1")
     stem, text, default_dir = _read_job_source(str(path))
     job = _parse_job_text(text, str(path))
     runner = _build(job, _Params(threads=threads, budget=budget))
@@ -466,7 +467,7 @@ def main(argv=None) -> int:
     p_run.add_argument("job", help="path to a job JSON file, or a catalog name")
     p_run.add_argument("--out", default=None, help="directory for report files")
     p_run.add_argument("--threads", type=int, default=1,
-                       help="accepted; jobs run single-threaded (point counts need >= 1)")
+                       help="at least 1; jobs run single-threaded and reports do not depend on it")
     p_run.add_argument("--budget", type=int, default=schanuel_mod.DEFAULT_BUDGET,
                        help="point counts: largest box size (2B+1)^(n+1), else exit 3")
 

@@ -8,8 +8,9 @@ be exact (h = 0, h(a) = h(b), additivity of products) is done on the
 integers themselves, never on the logs.
 
 The exact core runs on integers: hot loops carry an affine rational as a
-reduced int pair (numerator, denominator > 0) and spend one gcd per output
-value.  `fractions.Fraction` appears only at the boundary, in parsed input
+reduced int pair (numerator, denominator > 0) and spend at most one gcd per
+output value; none where the compiled form proves the value reduced.
+`fractions.Fraction` appears only at the boundary, in parsed input
 and public return types; exact values in report text go through
 :func:`format_int`.
 """

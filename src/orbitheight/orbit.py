@@ -71,13 +71,18 @@ class OrbitTrace:
 
 def step(phi: RationalMap, state: State) -> Optional[State]:
     """phi applied to a state of reduced int pairs; None when some
-    component is infinite or indeterminate there (leaves the affine chart)."""
+    component is infinite or indeterminate there (leaves the affine chart).
+
+    The state must be reduced: components whose compiled form is flagged
+    `reduced` skip their gcd on that premise.
+    """
     out = []
     for comp in phi.components:
-        num, den = comp.pair_at(state)
+        form = comp.form
+        num, den = form.pair_at(state)
         if den == 0:
             return None
-        out.append(reduced_pair(num, den))
+        out.append((num, den) if form.reduced else reduced_pair(num, den))
     return tuple(out)
 
 

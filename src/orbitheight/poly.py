@@ -77,12 +77,22 @@ class _IntForm:
     sum c_e prod a_i^e_i b_i^(D_i - e_i).  A term is stored as its integer
     coefficient and the positions of its factors in the flat list of powers
     a_i^1..a_i^D_i, b_i^1..b_i^D_i that `pair_at` builds per point.
+
+    `reduced` is decided once: the pair is always coprime with den > 0 when
+    den is the constant 1 and num is constant or a polynomial of degree D in
+    one variable x_i with top coefficient c_D = +-1.  Proof: den = b_i^D > 0,
+    and a prime p dividing b_i leaves num = c_D a_i^D (mod p), which p does
+    not divide since gcd(a_i, b_i) = 1.  Callers may then skip the gcd.
     """
 
-    __slots__ = ("degrees", "num", "den")
+    __slots__ = ("degrees", "num", "den", "reduced")
 
     def __init__(self, num: dict[tuple[int, ...], int], den: dict[tuple[int, ...], int]):
         self.degrees = tuple(max(col) for col in zip(*num, *den))
+        used = {i for e in num for i, k in enumerate(e) if k}
+        self.reduced = den == {(0,) * len(self.degrees): 1} and (
+            not used or len(used) == 1 and abs(num[max(num, key=sum)]) == 1
+        )
         starts = [sum(2 * d for d in self.degrees[:i]) for i in range(len(self.degrees))]
 
         def factors(exps):
@@ -320,16 +330,21 @@ class RationalFunction:
         self.num, self.den = _content_canonical(num, den)
         self._form = None
 
-    def pair_at(self, pairs: Sequence[tuple[int, int]]) -> tuple[int, int]:
-        """(num, den) values at reduced int pairs, both scaled by one positive
-        integer and left unreduced; (0, 0) on the indeterminacy locus."""
+    @property
+    def form(self) -> _IntForm:
+        """The integer evaluator, compiled on first use."""
         if self._form is None:
             # _content_canonical leaves integral coefficients
             self._form = _IntForm(
                 {e: c.numerator for e, c in self.num.terms.items()},
                 {e: c.numerator for e, c in self.den.terms.items()},
             )
-        return self._form.pair_at(pairs)
+        return self._form
+
+    def pair_at(self, pairs: Sequence[tuple[int, int]]) -> tuple[int, int]:
+        """(num, den) values at reduced int pairs, both scaled by one positive
+        integer and left unreduced; (0, 0) on the indeterminacy locus."""
+        return self.form.pair_at(pairs)
 
     @property
     def variables(self) -> tuple[str, ...]:
@@ -418,10 +433,17 @@ def evaluate(rf: RationalFunction, point: Sequence[Fraction]) -> Union[P1Value, 
 def evaluate_pairs(
     rf: RationalFunction, pairs: Sequence[tuple[int, int]]
 ) -> Union[P1Value, Indeterminate]:
-    """:func:`evaluate` at a point given as reduced int pairs (a_i, b_i), b_i > 0."""
-    n, d = rf.pair_at(pairs)
+    """:func:`evaluate` at a point given as reduced int pairs (a_i, b_i), b_i > 0.
+
+    The pairs must be reduced: a form flagged `reduced` skips its gcd on that
+    premise, so unreduced pairs are not supported.
+    """
+    form = rf.form
+    n, d = form.pair_at(pairs)
     if n == 0 and d == 0:
         return INDETERMINATE
+    if form.reduced:
+        return P1Value._trusted((n, d) if n >= 0 else (-n, -d))
     return p1_from_ints(n, d)
 
 

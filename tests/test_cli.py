@@ -170,6 +170,11 @@ def test_budget_flag(tmp_path):
     assert main(["run", str(job), "--out", str(tmp_path / "out2")]) == 0
 
 
+def test_threads_validated_for_every_kind(tmp_path):
+    assert main(["run", "catalan", "--out", str(tmp_path / "out"), "--threads", "0"]) == 2
+    assert not (tmp_path / "out").exists()
+
+
 def test_run_job_from_explicit_path(tmp_path):
     job = tmp_path / "tiny-orbit.json"
     job.write_text(json.dumps({

@@ -9,10 +9,12 @@ where numerators or denominators vanish.
 """
 
 from fractions import Fraction
+from math import gcd
 
+import pytest
 from hypothesis import event, given, settings, strategies as st
 
-from orbitheight.exact import P1Value
+from orbitheight.exact import P1Value, as_pair
 from orbitheight.orbit import (
     COMPLETED,
     HIT_MAP_INDETERMINACY,
@@ -27,6 +29,7 @@ from orbitheight.poly import (
     RationalMap,
     apply_map,
     evaluate,
+    parse_expression,
 )
 
 VARIABLES = ("x", "y", "z")
@@ -119,6 +122,20 @@ def polynomials(draw, variables, max_degree=3, max_terms=4):
     return Polynomial(variables, terms)
 
 
+@st.composite
+def monic_polynomials(draw, variables, max_degree=4):
+    """c_D x^D + ... + c_0 in one variable x with integer c_k and c_D = +-1:
+    the numerators that compile to forms flagged as always reduced."""
+    i = draw(st.integers(0, len(variables) - 1))
+    degree = draw(st.integers(0, max_degree))
+    coeffs = draw(st.lists(st.integers(-6, 6), min_size=degree, max_size=degree))
+    coeffs.append(draw(st.sampled_from((1, -1))))
+    return Polynomial(variables, {
+        tuple(k if j == i else 0 for j in range(len(variables))): Fraction(c)
+        for k, c in enumerate(coeffs)
+    })
+
+
 def vanishing_at(poly: Polynomial, point) -> Polynomial:
     """poly minus its value at point: a polynomial through that point."""
     value = oracle_poly(poly, point)
@@ -151,6 +168,11 @@ def maps_and_starts(draw):
     variables = VARIABLES[:nvars]
     comps = []
     for _ in range(nvars + 1):  # nvars map components plus the observable
+        if draw(st.booleans()):  # a form that skips its gcd
+            comps.append(RationalFunction.from_polynomial(
+                draw(monic_polynomials(variables, max_degree=2))
+            ))
+            continue
         num = draw(polynomials(variables, max_degree=2, max_terms=3))
         den = draw(polynomials(variables, max_degree=1, max_terms=2))
         if den.is_zero():
@@ -171,6 +193,46 @@ def test_evaluate_matches_fraction_oracle(case):
     assert evaluate(rf, point) == expected
     assert rf.num.evaluate(point) == oracle_poly(rf.num, point)
     assert rf.den.evaluate(point) == oracle_poly(rf.den, point)
+
+
+wide_rationals = st.one_of(
+    st.just(Fraction(0)),
+    st.fractions(min_value=Fraction(-50), max_value=Fraction(50), max_denominator=60),
+)
+
+
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(
+    monic_polynomials(VARIABLES[:n]),
+    st.lists(wide_rationals, min_size=n, max_size=n),
+)))
+def test_monic_forms_are_flagged_and_reduced(case):
+    poly, point = case
+    rf = RationalFunction.from_polynomial(poly)
+    assert rf.form.reduced
+    num, den = rf.pair_at([as_pair(p) for p in point])
+    assert den > 0 and gcd(num, den) == 1
+    assert Fraction(num, den) == oracle_poly(poly, point)
+    assert evaluate(rf, point) == oracle_evaluate(rf, point)
+
+
+@pytest.mark.parametrize("text, variables, point", [
+    ("2*x+1", ("x",), (Fraction(1, 2),)),  # top coefficient 2
+    ("x/2+1", ("x",), (Fraction(0),)),  # denominator 2
+    ("x*y+1", ("x", "y"), (Fraction(1, 2), Fraction(2))),  # two variables
+    ("x+y", ("x", "y"), (Fraction(1, 2), Fraction(1, 2))),
+    ("(x^2+1)/(x+2)", ("x",), (Fraction(3),)),  # nonconstant denominator
+])
+def test_unflagged_forms_cancel_and_match_oracle(text, variables, point):
+    rf = parse_expression(text, variables)
+    assert not rf.form.reduced
+    num, den = rf.pair_at([as_pair(p) for p in point])
+    assert gcd(num, den) > 1  # the gcd this form keeps is really needed
+    assert evaluate(rf, point) == oracle_evaluate(rf, point)
+    phi = RationalMap(variables, (rf,) * len(variables))
+    points, values, _, _ = oracle_orbit(phi, rf, point, 1)
+    trace = iterate_orbit(phi, rf, point, 1)
+    assert [row.state for row in trace.rows] == [tuple(map(as_pair, p)) for p in points]
+    assert [row.value for row in trace.rows] == values
 
 
 @given(maps_and_starts())
