@@ -244,19 +244,3 @@ def grid_to_csv(mtrace: MultiTrace) -> str:
         writer.writerow(list(idx) + [str(entry.value), f"{entry.height:.6f}"])
     return buf.getvalue()
 
-
-def slices_to_csv(report: SliceReport) -> str:
-    """Slice report as CSV with columns s, M_s, ratio, argmax."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["s", "M_s", "ratio", "argmax"])
-    for st in report.slices:
-        writer.writerow(
-            [
-                st.s,
-                f"{st.max_height:.6f}",
-                f"{st.ratio:.6f}",
-                "(" + ";".join(str(i) for i in st.argmax) + ")",
-            ]
-        )
-    return buf.getvalue()

@@ -9,7 +9,9 @@ integers themselves, never on the logs.
 
 The exact core runs on integers: hot loops carry an affine rational as a
 reduced int pair (numerator, denominator > 0) and spend at most one gcd per
-output value; none where the compiled form proves the value reduced.
+output value.  Where the compiled form knows the resultant R of its
+numerator and denominator, that gcd divides R: it is taken on residues
+mod R, in time linear in the value, and skipped when |R| = 1.
 `fractions.Fraction` appears only at the boundary, in parsed input
 and public return types; exact values in report text go through
 :func:`format_int`.
@@ -50,11 +52,6 @@ def format_ratio(num: int, den: int) -> str:
 def format_rational(q: Fraction) -> str:
     """Serialize as "p/q", omitting the denominator when it is 1."""
     return format_ratio(q.numerator, q.denominator)
-
-
-def parse_rational(text: str) -> Fraction:
-    """Inverse of :func:`format_rational`; accepts "p" and "p/q"."""
-    return Fraction(text.strip())
 
 
 def as_pair(q) -> tuple[int, int]:
@@ -147,14 +144,6 @@ def reduced_pair(num: int, den: int) -> tuple[int, int]:
     if den < 0:
         g = -g
     return num // g, den // g
-
-
-def p1_from_ints(num: int, den: int) -> P1Value:
-    """The point (num : den) of P^1 for integers not both zero, with one gcd."""
-    g = gcd(num, den)
-    if num < 0 or (num == 0 and den < 0):
-        g = -g
-    return P1Value._trusted((num // g, den // g))
 
 
 def p1_value(num: Fraction | int, den: Fraction | int) -> P1Value:

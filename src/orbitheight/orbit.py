@@ -23,7 +23,7 @@ from .errors import (
     HorizonTooShort,
     InvalidParameter,
 )
-from .exact import P1Value, as_pair, format_ratio, height_projective, reduced_pair
+from .exact import P1Value, as_pair, format_ratio, height_projective
 from .poly import INDETERMINATE, RationalFunction, RationalMap, evaluate_pairs
 
 COMPLETED = "completed"
@@ -73,8 +73,9 @@ def step(phi: RationalMap, state: State) -> Optional[State]:
     """phi applied to a state of reduced int pairs; None when some
     component is infinite or indeterminate there (leaves the affine chart).
 
-    The state must be reduced: components whose compiled form is flagged
-    `reduced` skip their gcd on that premise.
+    The state must be reduced: each component's compiled form bounds the
+    gcd of its value by its resultant on that premise, so the gcd is taken
+    on small residues, or skipped, wherever that resultant is known.
     """
     out = []
     for comp in phi.components:
@@ -82,7 +83,10 @@ def step(phi: RationalMap, state: State) -> Optional[State]:
         num, den = form.pair_at(state)
         if den == 0:
             return None
-        out.append((num, den) if form.reduced else reduced_pair(num, den))
+        g = 1 if form.resultant == 1 else form.divisor(num, den)
+        if den < 0:
+            g = -g
+        out.append((num, den) if g == 1 else (num // g, den // g))
     return tuple(out)
 
 

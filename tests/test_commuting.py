@@ -9,7 +9,6 @@ from orbitheight.commuting import (
     grid_orbit,
     grid_to_csv,
     norm_sliced_diagnostics,
-    slices_to_csv,
 )
 from orbitheight.density import EMPTY, NATURALS, EventuallyPeriodicSet, evens
 from orbitheight.errors import EmptyIntersection, InvalidParameter, NotCommuting
@@ -169,7 +168,3 @@ def test_csv_exports():
     lines = grid_to_csv(mtrace).splitlines()
     assert lines[0] == "n1,n2,value,height"
     assert lines[1] == "0,0,(1:1),0.000000"
-    report = norm_sliced_diagnostics(mtrace, NATURALS, 2)
-    slines = slices_to_csv(report).splitlines()
-    assert slines[0] == "s,M_s,ratio,argmax"
-    assert slines[1].startswith("2,1.386294,2.000000,(2;0)")

@@ -13,7 +13,6 @@ from orbitheight.exact import (
     height_rational,
     normalize_projective,
     p1_value,
-    parse_rational,
     segre_fold,
     segre_product,
 )
@@ -122,5 +121,3 @@ def test_serialization():
     assert str(PrimitiveVector((3, 6, 2))) == "(3:6:2)"
     assert format_rational(Fraction(2, 3)) == "2/3"
     assert format_rational(Fraction(5)) == "5"
-    assert parse_rational("2/3") == Fraction(2, 3)
-    assert parse_rational("-7") == Fraction(-7)

@@ -8,6 +8,7 @@ compiled integer evaluators, `apply_map`, and the int-pair stepper behind
 where numerators or denominators vanish.
 """
 
+import time
 from fractions import Fraction
 from math import gcd
 
@@ -21,6 +22,7 @@ from orbitheight.orbit import (
     HIT_OBSERVABLE_INDETERMINACY,
     iterate_orbit,
     iterate_points,
+    step,
 )
 from orbitheight.poly import (
     INDETERMINATE,
@@ -136,6 +138,26 @@ def monic_polynomials(draw, variables, max_degree=4):
     })
 
 
+@st.composite
+def one_variable_quotients(draw, variables, max_degree=4):
+    """num/den with integer coefficients of degree <= max_degree in one
+    variable: Moebius maps, (x^2+c)/(x+d), monic polynomials and the like,
+    whose compiled forms know their resultant when it is nonzero."""
+    i = draw(st.integers(0, len(variables) - 1))
+
+    def poly(coeffs):
+        return Polynomial(variables, {
+            tuple(k if j == i else 0 for j in range(len(variables))): Fraction(c)
+            for k, c in enumerate(coeffs)
+        })
+
+    coeffs = st.lists(st.integers(-6, 6), max_size=max_degree + 1)
+    num, den = poly(draw(coeffs)), poly(draw(coeffs))
+    if den.is_zero():
+        den = Polynomial.constant(variables, draw(st.sampled_from((1, -2, 3))))
+    return RationalFunction(num, den)
+
+
 def vanishing_at(poly: Polynomial, point) -> Polynomial:
     """poly minus its value at point: a polynomial through that point."""
     value = oracle_poly(poly, point)
@@ -168,10 +190,14 @@ def maps_and_starts(draw):
     variables = VARIABLES[:nvars]
     comps = []
     for _ in range(nvars + 1):  # nvars map components plus the observable
-        if draw(st.booleans()):  # a form that skips its gcd
+        kind = draw(st.sampled_from(("monic", "quotient", "general")))
+        if kind == "monic":  # |R| = 1: a form that skips its gcd
             comps.append(RationalFunction.from_polynomial(
                 draw(monic_polynomials(variables, max_degree=2))
             ))
+            continue
+        if kind == "quotient":  # a gcd on residues mod R, or the full gcd if R = 0
+            comps.append(draw(one_variable_quotients(variables, max_degree=2)))
             continue
         num = draw(polynomials(variables, max_degree=2, max_terms=3))
         den = draw(polynomials(variables, max_degree=1, max_terms=2))
@@ -208,7 +234,7 @@ wide_rationals = st.one_of(
 def test_monic_forms_are_flagged_and_reduced(case):
     poly, point = case
     rf = RationalFunction.from_polynomial(poly)
-    assert rf.form.reduced
+    assert rf.form.resultant == 1
     num, den = rf.pair_at([as_pair(p) for p in point])
     assert den > 0 and gcd(num, den) == 1
     assert Fraction(num, den) == oracle_poly(poly, point)
@@ -224,7 +250,7 @@ def test_monic_forms_are_flagged_and_reduced(case):
 ])
 def test_unflagged_forms_cancel_and_match_oracle(text, variables, point):
     rf = parse_expression(text, variables)
-    assert not rf.form.reduced
+    assert rf.form.resultant != 1
     num, den = rf.pair_at([as_pair(p) for p in point])
     assert gcd(num, den) > 1  # the gcd this form keeps is really needed
     assert evaluate(rf, point) == oracle_evaluate(rf, point)
@@ -233,6 +259,71 @@ def test_unflagged_forms_cancel_and_match_oracle(text, variables, point):
     trace = iterate_orbit(phi, rf, point, 1)
     assert [row.state for row in trace.rows] == [tuple(map(as_pair, p)) for p in points]
     assert [row.value for row in trace.rows] == values
+
+
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(
+    one_variable_quotients(VARIABLES[:n]),
+    st.lists(wide_rationals, min_size=n, max_size=n),
+)))
+def test_resultant_bounds_the_gcd(case):
+    rf, point = case
+    variables = rf.variables
+    form = rf.form
+    pairs = [as_pair(p) for p in point]
+    num, den = form.pair_at(pairs)
+    expected = oracle_evaluate(rf, point)
+    event("R = 0" if form.resultant == 0 else "|R| = 1" if form.resultant == 1 else "|R| > 1")
+    event("den < 0" if den < 0 else "den = 0" if den == 0 else "den > 0")
+    assert evaluate(rf, point) == expected
+    if expected is INDETERMINATE:
+        assert form.resultant == 0
+        return
+    g = gcd(num, den)
+    assert form.divisor(num, den) == g
+    assert form.resultant % g == 0
+    out = step(RationalMap(variables, (rf,) * len(variables)), pairs)
+    if expected.is_infinity:
+        assert out is None
+    else:
+        assert out == (as_pair(expected.as_fraction()),) * len(variables)
+
+
+@pytest.mark.parametrize("text, point, resultant, pair, reduced", [
+    ("(x^2+1)/(x+2)", 3, 5, (10, 5), (2, 1)),  # the full factor R = 5 cancels
+    ("(x^2-1)/(x-1)", 3, 0, (8, 2), (4, 1)),  # R = 0: a common root, full gcd
+    ("x/(x+1)", -2, 1, (-2, -1), (2, 1)),  # |R| = 1, yet the sign flips
+    ("x/2+1", 0, 2, (2, 2), (1, 1)),  # constant den c: |R| = |c f_D|^D
+    ("(x+3)/6", 3, 6, (6, 6), (1, 1)),
+])
+def test_resultant_fixed_cases(text, point, resultant, pair, reduced):
+    rf = parse_expression(text, ("x",))
+    assert rf.form.resultant == resultant
+    assert rf.pair_at([(point, 1)]) == pair
+    assert step(RationalMap(("x",), (rf,)), ((point, 1),)) == (reduced,)
+    assert evaluate(rf, (point,)) == P1Value(reduced) == oracle_evaluate(rf, (point,))
+
+
+@pytest.mark.parametrize("variables", [(), ("x", "y")])
+def test_constant_forms_skip_the_gcd(variables):
+    rf = parse_expression("-6/4", variables)
+    assert rf.form.resultant == 1
+    assert evaluate(rf, (Fraction(1, 2),) * len(variables)) == P1Value((3, -2))
+
+
+def test_resultant_build_cost_is_capped():
+    """Past the degree cap the Sylvester determinant is not taken (its cost
+    grows as D^3); a constant den keeps its O(1) closed form at any degree."""
+    x = ("x",)
+    t0 = time.perf_counter()
+    num = " + ".join(f"{k % 7 + 1}*x^{k}" for k in range(65))
+    den = " + ".join(f"{k % 5 + 2}*x^{k}" for k in range(64))
+    rf = parse_expression(f"({num})/({den})", x)
+    assert rf.form.resultant == 0
+    assert step(RationalMap(x, (rf,)), ((2, 3),)) is not None
+    assert time.perf_counter() - t0 < 0.5
+    monic = parse_expression("x^40 - 7*x^3 + 5", x)
+    assert monic.form.resultant == 1
+    assert parse_expression("3*x^40 + 1", x).form.resultant == 3**40
 
 
 @given(maps_and_starts())
