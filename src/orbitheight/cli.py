@@ -70,11 +70,15 @@ def _parse_variables(job: dict) -> tuple[str, ...]:
     return tuple(variables)
 
 
+def _is_number(x, kinds=(int, float)) -> bool:
+    """A JSON number of one of kinds; true, false, NaN and Infinity are not numbers."""
+    return type(x) in kinds and (type(x) is int or math.isfinite(x))
+
+
 def _int_param(job: dict, key: str, default=None, minimum=None):
     value = job.get(key, default)
     _require(value is not None, f"missing required field '{key}'")
-    _require(isinstance(value, int) and not isinstance(value, bool),
-             f"'{key}' must be an integer")
+    _require(_is_number(value, (int,)), f"'{key}' must be an integer")
     if minimum is not None:
         _require(value >= minimum, f"'{key}' must be >= {minimum}")
     return value
@@ -122,11 +126,11 @@ def _build_gap(job: dict, params):
     n_max = _int_param(job, "N", minimum=2)
     n0 = _int_param(job, "N0", default=2, minimum=2)
     tail_fraction = job.get("tail_fraction", 0.5)
-    _require(isinstance(tail_fraction, (int, float)) and 0 < tail_fraction <= 1,
+    _require(_is_number(tail_fraction) and 0 < tail_fraction <= 1,
              "'tail_fraction' must lie in (0, 1]")
     curve_constants = job.get("curve_constants", [])
     _require(isinstance(curve_constants, list)
-             and all(isinstance(c, (int, float)) for c in curve_constants),
+             and all(_is_number(c) for c in curve_constants),
              "'curve_constants' must be a list of numbers")
     ell = job.get("ell")
     if ell is not None:
@@ -181,7 +185,7 @@ def _build_dfinite(job: dict, params):
     rec = dfinite_mod.parse_recurrence_job(job)
     n_max = _int_param(job, "N", default=500, minimum=3)
     epsilon = job.get("epsilon", 0.5)
-    _require(isinstance(epsilon, (int, float)) and epsilon > 0,
+    _require(_is_number(epsilon) and epsilon > 0,
              "'epsilon' must be a positive number")
     n0 = _int_param(job, "N0", default=10, minimum=2)
 
@@ -246,7 +250,7 @@ def _build_schanuel(job: dict, params):
     n = _int_param(job, "n", minimum=1)
     bounds = job.get("B_list")
     _require(isinstance(bounds, list) and bounds
-             and all(isinstance(b, int) and b >= 1 for b in bounds),
+             and all(_is_number(b, (int,)) and b >= 1 for b in bounds),
              "'B_list' must be a nonempty list of bounds >= 1")
 
     def run():

@@ -17,7 +17,7 @@ from typing import Sequence
 
 from .errors import DimensionMismatch, InvalidParameter, OrbitUndefined
 from .poly import Polynomial, RationalMap
-from .orbit import iterate_points
+from .orbit import iterate_states
 
 
 @dataclass(frozen=True)
@@ -38,9 +38,6 @@ class Subvariety:
     def variables(self) -> tuple[str, ...]:
         return self.equations[0].variables
 
-    def contains(self, point: Sequence[Fraction]) -> bool:
-        return all(eq.evaluate(point) == 0 for eq in self.equations)
-
 
 def return_set(
     phi: RationalMap,
@@ -55,10 +52,11 @@ def return_set(
     """
     if subvariety.variables != phi.variables:
         raise DimensionMismatch("subvariety and map must share a variable list")
-    points, stopped_at = iterate_points(phi, start, horizon)
+    states, stopped_at = iterate_states(phi, start, horizon)
     if stopped_at is not None:
         raise OrbitUndefined(stopped_at, "orbit left the affine chart")
-    return [n for n, p in enumerate(points) if subvariety.contains(p)]
+    equations = subvariety.equations
+    return [n for n, s in enumerate(states) if all(eq.pair_at(s)[0] == 0 for eq in equations)]
 
 
 @dataclass(frozen=True)

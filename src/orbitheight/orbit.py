@@ -108,17 +108,18 @@ def _states(phi: RationalMap, start: Sequence[Fraction], n_steps: int) -> Iterat
         yield state
 
 
-def iterate_points(phi: RationalMap, start: Sequence[Fraction], n_steps: int):
-    """Forward orbit points for n = 0..n_steps, stopping at chart exits.
-
-    Returns (points, stop_index) where stop_index is None when all steps
-    are defined, else the first n whose point could not be computed.
-    """
+def iterate_states(phi: RationalMap, start: Sequence[Fraction], n_steps: int):
+    """Orbit states (reduced int pairs) for n = 0..n_steps, stopping at chart
+    exits, and the first n whose state is undefined (None if there is none)."""
     _check_start(phi, start)
-    points = [
-        tuple(Fraction(a, b) for a, b in state) for state in _states(phi, start, n_steps)
-    ]
-    return points, (None if len(points) == n_steps + 1 else len(points))
+    states = list(_states(phi, start, n_steps))
+    return states, (None if len(states) == n_steps + 1 else len(states))
+
+
+def iterate_points(phi: RationalMap, start: Sequence[Fraction], n_steps: int):
+    """`iterate_states` with each state as a tuple of Fractions."""
+    states, stop_index = iterate_states(phi, start, n_steps)
+    return [tuple(Fraction(a, b) for a, b in state) for state in states], stop_index
 
 
 def iterate_orbit(

@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -173,6 +174,32 @@ def test_budget_flag(tmp_path):
 def test_threads_validated_for_every_kind(tmp_path):
     assert main(["run", "catalan", "--out", str(tmp_path / "out"), "--threads", "0"]) == 2
     assert not (tmp_path / "out").exists()
+
+
+GAP_JOB = {"kind": "gap", "variables": ["x"], "map": ["x+1"], "observable": "x",
+           "start": ["0"], "N": 10}
+DFINITE_JOB = {"kind": "dfinite", "order": 1, "coeffs": ["-(n+1)", "1"],
+               "initial": {"0": "1"}, "offset": 0, "N": 30}
+
+
+@pytest.mark.parametrize("job, fixed", [
+    ({"kind": "schanuel", "n": 1, "B_list": [True]}, {"B_list": [1]}),
+    ({**GAP_JOB, "tail_fraction": True}, {"tail_fraction": 1}),
+    ({**GAP_JOB, "curve_constants": [True]}, {"curve_constants": [1]}),
+    ({**GAP_JOB, "curve_constants": [math.nan]}, {"curve_constants": [1.5]}),
+    ({**DFINITE_JOB, "epsilon": True}, {"epsilon": 1}),
+    ({**DFINITE_JOB, "epsilon": math.inf}, {"epsilon": 0.25}),
+], ids=["B_list", "tail_fraction", "curve_constants", "curve_constants-nan", "epsilon",
+        "epsilon-inf"])
+def test_non_numeric_field_exit_2_no_output(job, fixed, tmp_path):
+    """JSON true, NaN and Infinity are not numbers; the same job with a number runs."""
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(job))
+    out_dir = tmp_path / "out"
+    assert main(["run", str(path), "--out", str(out_dir)]) == 2
+    assert not out_dir.exists()
+    path.write_text(json.dumps({**job, **fixed}))
+    assert main(["run", str(path), "--out", str(out_dir)]) == 0
 
 
 def test_run_job_from_explicit_path(tmp_path):

@@ -3,11 +3,13 @@
 The oracle below works in `Fraction` arithmetic: polynomials are summed
 term by term, P^1 values are canonicalized through the validating public
 constructor, and orbits are stepped one `Fraction` point at a time.  The
-compiled integer evaluators, `apply_map`, and the int-pair stepper behind
-`iterate_orbit` and `iterate_points` must agree with it exactly, including
-where numerators or denominators vanish.
+compiled integer evaluators, `apply_map`, the int-pair stepper behind
+`iterate_orbit` and `iterate_points`, and the return sets of `dml` must agree
+with it exactly, including where numerators or denominators vanish.
 """
 
+import pickle
+import sys
 import time
 from fractions import Fraction
 from math import gcd
@@ -15,6 +17,8 @@ from math import gcd
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
+from orbitheight.dml import Subvariety, return_set
+from orbitheight.errors import DimensionMismatch, OrbitUndefined
 from orbitheight.exact import P1Value, as_pair
 from orbitheight.orbit import (
     COMPLETED,
@@ -107,6 +111,13 @@ def oracle_points(phi, start, n_steps):
         point = tuple(nxt)
         points.append(point)
     return points, None
+
+
+def oracle_return_set(phi, start, equations, horizon):
+    """(hits, first undefined index or None) of the orbit on the equations' zero set."""
+    points, stop = oracle_points(phi, start, horizon)
+    hits = [n for n, p in enumerate(points) if all(oracle_poly(eq, p) == 0 for eq in equations)]
+    return hits, stop
 
 
 # --- strategies ---
@@ -373,3 +384,126 @@ def test_oracle_cases_cover_every_stop():
         assert (trace.stop_reason, trace.stop_index) == (stop_reason, stop_index)
         assert [row.point for row in trace.rows] == points
         assert [row.value for row in trace.rows] == values
+
+
+@settings(max_examples=200)
+@given(maps_and_starts(), st.integers(0, 6), st.data())
+def test_return_set_matches_fraction_oracle(case, horizon, data):
+    phi, _, start = case
+    points, _ = oracle_points(phi, start, horizon)
+    # the first equation vanishes at a drawn orbit point, so hits are common
+    through = points[data.draw(st.integers(0, len(points) - 1))]
+    equations = [vanishing_at(data.draw(polynomials(phi.variables, max_degree=2)), through)]
+    if data.draw(st.booleans()):
+        equations.append(data.draw(polynomials(phi.variables, max_degree=2)))
+    hits, stop = oracle_return_set(phi, start, equations, horizon)
+    event("undefined" if stop is not None else f"{len(hits)} hits")
+    if stop is not None:
+        with pytest.raises(OrbitUndefined) as exc:
+            return_set(phi, start, Subvariety(tuple(equations)), horizon)
+        assert exc.value.n == stop
+    else:
+        assert return_set(phi, start, Subvariety(tuple(equations)), horizon) == hits
+
+
+# --- the generated evaluators ---
+
+# names the generated source uses for its own locals, and builtins
+NAMES = ("a0", "b0", "a0_2", "pairs", "gcd", "__import__")
+
+
+@pytest.mark.parametrize("point", [
+    (Fraction(1, 2), Fraction(-3), Fraction(0), Fraction(5, 7), Fraction(2, 9), Fraction(-1, 4)),
+    (Fraction(3), Fraction(2, 3), Fraction(-5, 2), Fraction(1), Fraction(0), Fraction(7, 3)),
+])
+def test_generated_source_ignores_variable_names(point):
+    texts = [
+        "(a0^2*b0 - 3*a0_2 + pairs*gcd - __import__^3 + 7)/(b0^2 + 2*__import__ + 5)",
+        "a0_2 - pairs^4/6 + 1",
+        "gcd*__import__ - b0/3",
+    ]
+    for text in texts:
+        rf = parse_expression(text, NAMES)
+        assert evaluate(rf, point) == oracle_evaluate(rf, point)
+        assert rf.num.evaluate(point) == oracle_poly(rf.num, point)
+    phi = RationalMap(NAMES, tuple(parse_expression(t, NAMES) for t in texts * 2))
+    assert apply_map(phi, point) == oracle_apply_map(phi, point)
+
+
+@pytest.mark.parametrize("text, variables", [
+    ("x^2+1", ("x",)),
+    ("y+1", ("x", "y", "z")),  # x and z unused
+    ("-6/4", ("x", "y")),  # no variable used
+    ("5", ()),
+])
+def test_wrong_length_point_raises(text, variables):
+    rf = parse_expression(text, variables)
+    n = len(variables)
+    for wrong in {n + 1, max(n - 1, 0)} - {n}:
+        pairs = [(1, 2)] * wrong
+        with pytest.raises(DimensionMismatch):
+            rf.pair_at(pairs)
+        with pytest.raises(DimensionMismatch):
+            rf.num.pair_at(pairs)
+
+
+def test_coefficient_past_the_int_str_limit():
+    """Coefficients are bound into the generated code, never printed in it."""
+    if not hasattr(sys, "get_int_max_str_digits"):
+        pytest.skip("this interpreter has no int-to-str digit limit")
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        rf = parse_expression("x*10^5000+1", ("x",))
+        point = (Fraction(1, 3),)
+        assert rf.pair_at([(1, 3)]) == (10**5000 + 3, 3)
+        assert evaluate(rf, point) == oracle_evaluate(rf, point)
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+def test_generated_source_does_not_grow_with_the_degree():
+    t0 = time.perf_counter()
+    rf = parse_expression("x^20000", ("x",))
+    assert rf.pair_at([(1, 3)]) == (1, 3**20000)
+    assert time.perf_counter() - t0 < 0.2
+
+
+def test_forms_with_thousands_of_terms_and_factors():
+    """Sums and products far longer than the compiler's recursion limit allows
+    as flat chains: the 5,456 monomials of degree <= 30 in x, y, z, and a
+    70-variable form whose every term has 70 factors."""
+    xyz = ("x", "y", "z")
+    num = Polynomial(xyz, {
+        (i, j, k): Fraction((-1) ** (i + j) * (1 + (i * 7 + j * 3 + k) % 5), 1 + k % 2)
+        for i in range(31) for j in range(31 - i) for k in range(31 - i - j)
+    })
+    assert len(num.terms) == 5456
+    x, y = Polynomial.variable(xyz, "x"), Polynomial.variable(xyz, "y")
+    big = RationalFunction(num, x * x + y + Polynomial.constant(xyz, 3))
+    point = (Fraction(1, 3), Fraction(-2, 5), Fraction(7))
+    assert evaluate(big, point) == oracle_evaluate(big, point)
+    assert num.evaluate(point) == oracle_poly(num, point)
+    phi = RationalMap(xyz, (big, parse_expression("x + y", xyz), parse_expression("z", xyz)))
+    status, values = oracle_apply_map(phi, point)
+    assert status == "ok"
+    assert step(phi, tuple(as_pair(c) for c in point)) == tuple(as_pair(v) for v in values)
+
+    names = tuple(f"v{i}" for i in range(70))
+    terms = {(1,) * 70: Fraction(3)}
+    for i in range(70):
+        terms[tuple(int(j == i) for j in range(70))] = Fraction(-1 if i % 2 else i + 2)
+    wide = RationalFunction.from_polynomial(Polynomial(names, terms))
+    point = tuple(Fraction(1 + i % 4, 1 + i % 3) for i in range(70))
+    assert evaluate(wide, point) == oracle_evaluate(wide, point)
+
+
+def test_forms_pickle_after_evaluation():
+    rf = parse_expression("(3*x^2*y - y + 1)/(x + 2)", ("x", "y"))
+    phi = RationalMap(("x", "y"), (rf, parse_expression("y^2", ("x", "y"))))
+    point = (Fraction(1, 3), Fraction(-2))
+    expected = (evaluate(rf, point), rf.num.evaluate(point), apply_map(phi, point))
+    copy = pickle.loads(pickle.dumps((rf, phi)))
+    assert (evaluate(copy[0], point), copy[0].num.evaluate(point),
+            apply_map(copy[1], point)) == expected
+    assert copy[0].form.resultant == rf.form.resultant
