@@ -9,9 +9,11 @@ Commands:
 A job either names a file or a bundled catalog fixture.  Reports are
 written next to the input (or into --out) as <job>.report.csv and
 <job>.report.json, built fully in memory first so failed runs leave no
-partial files.  Exit codes: 0 success, 2 validation error (bad JSON,
-schema, expressions), 3 runtime error (indeterminacy, budget, missing
-terms).
+partial files; every CSV report is joined by `exact.report_csv`.  Map
+jobs (orbit, gap, dml, commuting) are read by one parser, `_parse_map_job`.
+Exit codes: 0 success, 2 validation error (bad JSON, schema, expressions,
+a field of the wrong JSON type), 3 runtime error (indeterminacy, budget,
+missing terms).
 
 Determinism: real-valued report fields are formatted with six decimals
 (round half to even); exact quantities (counts, rationals) are never
@@ -21,8 +23,6 @@ rounded.  Identical jobs produce byte-identical reports at any --threads.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import math
 import sys
@@ -37,8 +37,8 @@ from . import orbit as orbit_mod
 from . import schanuel as schanuel_mod
 from .density import EventuallyPeriodicSet, NATURALS, density as set_density, shift_set
 from .errors import OrbitHeightError, ValidationError
-from .exact import format_rational, height_rational
-from .poly import parse_expression, parse_map
+from .exact import format_ratio, log_abs, report_csv
+from .poly import parse_expression, parse_map, parse_polynomial
 
 KINDS = ("orbit", "gap", "dfinite", "density", "schanuel", "dml", "commuting")
 
@@ -52,22 +52,36 @@ def _fmt(x: float) -> str:
     return f"{x:.6f}"
 
 
-def _parse_start(job: dict, nvars: int) -> tuple[Fraction, ...]:
+def _is_str_list(x) -> bool:
+    return isinstance(x, list) and all(isinstance(c, str) for c in x)
+
+
+def _parse_map_job(job: dict, several: bool = False, observable: bool = True):
+    """(variables, phi, observable, start) of a map job: phi is the self-map
+    in 'map', or with several=True the list of self-maps in 'maps'; the
+    observable is None when observable=False."""
+    variables = job.get("variables")
+    _require(_is_str_list(variables) and variables and len(set(variables)) == len(variables),
+             "'variables' must be a nonempty list of distinct names")
+    if several:
+        texts = job.get("maps")
+        _require(isinstance(texts, list) and texts and all(_is_str_list(m) for m in texts),
+                 "'maps' must be a nonempty list of component lists")
+    else:
+        texts = [job.get("map")]
+        _require(_is_str_list(texts[0]), "'map' must be a list of component strings")
+    maps = [parse_map(m, variables) for m in texts]
+    _require(all(len(phi.components) == len(variables) for phi in maps),
+             "each map must be a self-map")
+    obs = parse_expression(str(job.get("observable", "")), variables) if observable else None
     start = job.get("start")
-    _require(isinstance(start, list) and len(start) == nvars,
-             f"'start' must be a list of {nvars} rationals")
+    _require(isinstance(start, list) and len(start) == len(variables),
+             f"'start' must be a list of {len(variables)} rationals")
     try:
-        return tuple(Fraction(str(c)) for c in start)
+        start = tuple(Fraction(str(c)) for c in start)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValidationError(f"bad start coordinate: {exc}") from exc
-
-
-def _parse_variables(job: dict) -> tuple[str, ...]:
-    variables = job.get("variables")
-    _require(isinstance(variables, list) and variables
-             and all(isinstance(v, str) for v in variables),
-             "'variables' must be a nonempty list of names")
-    return tuple(variables)
+    return tuple(variables), maps if several else maps[0], obs, start
 
 
 def _is_number(x, kinds=(int, float)) -> bool:
@@ -85,21 +99,13 @@ def _int_param(job: dict, key: str, default=None, minimum=None):
 
 
 def _metrics_csv(rows: list[tuple[str, str]]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["metric", "value"])
-    writer.writerows(rows)
-    return buf.getvalue()
+    return report_csv(("metric", "value"), rows)
 
 
 # --- per-kind builders: validate and close over everything, run later ---
 
 def _build_orbit(job: dict, params):
-    variables = _parse_variables(job)
-    phi = parse_map(job.get("map", []), variables)
-    _require(len(phi.components) == len(variables), "'map' must be a self-map")
-    observable = parse_expression(str(job.get("observable", "")), variables)
-    start = _parse_start(job, len(variables))
+    _, phi, observable, start = _parse_map_job(job)
     n_max = _int_param(job, "N", minimum=0)
 
     def run():
@@ -118,11 +124,7 @@ def _build_orbit(job: dict, params):
 
 
 def _build_gap(job: dict, params):
-    variables = _parse_variables(job)
-    phi = parse_map(job.get("map", []), variables)
-    _require(len(phi.components) == len(variables), "'map' must be a self-map")
-    observable = parse_expression(str(job.get("observable", "")), variables)
-    start = _parse_start(job, len(variables))
+    _, phi, observable, start = _parse_map_job(job)
     n_max = _int_param(job, "N", minimum=2)
     n0 = _int_param(job, "N0", default=2, minimum=2)
     tail_fraction = job.get("tail_fraction", 0.5)
@@ -142,11 +144,6 @@ def _build_gap(job: dict, params):
             trace, n0=n0, tail_fraction=float(tail_fraction),
             curve_constants=[float(c) for c in curve_constants],
         )
-        rows = [
-            ("tail_start", str(report.tail_start)),
-            ("tail_sup", _fmt(report.tail_sup)),
-            ("tail_inf", _fmt(report.tail_inf)),
-        ]
         payload = {
             "kind": "gap",
             "horizon": trace.horizon,
@@ -160,45 +157,48 @@ def _build_gap(job: dict, params):
                 for c, frac in report.below_curve_density
             ],
         }
-        for c, frac in report.below_curve_density:
-            rows.append((f"below_curve_density[C={_fmt(c)}]", str(frac)))
+        rows = [(key, str(payload[key])) for key in ("tail_start", "tail_sup", "tail_inf")]
+        rows += [(f"below_curve_density[C={d['C']}]", d["density"])
+                 for d in payload["below_curve_density"]]
         if ell is not None:
-            repeat = orbit_mod.detect_window_repeat(trace, ell)
-            if repeat is None:
-                payload["window_repeat"] = None
-                rows.append(("window_repeat", "none"))
-            else:
-                payload["window_repeat"] = {
-                    "i": repeat.i,
-                    "j": repeat.j,
-                    "period": repeat.period,
-                    "verified_to": repeat.verified_to,
-                }
-                rows.append(("window_repeat",
-                             f"i={repeat.i};j={repeat.j};verified_to={repeat.verified_to}"))
+            r = orbit_mod.detect_window_repeat(trace, ell)
+            payload["window_repeat"] = None if r is None else {
+                "i": r.i, "j": r.j, "period": r.period, "verified_to": r.verified_to,
+            }
+            rows.append(("window_repeat", "none" if r is None
+                         else f"i={r.i};j={r.j};verified_to={r.verified_to}"))
         return _metrics_csv(rows), payload
 
     return run
 
 
 def _build_dfinite(job: dict, params):
-    rec = dfinite_mod.parse_recurrence_job(job)
+    _int_param(job, "order", minimum=1)
+    _int_param(job, "offset", default=0, minimum=0)
+    _require(isinstance(job.get("coeffs"), list), "'coeffs' must be a list of polynomials in n")
+    initial = job.get("initial", {})
+    _require(isinstance(initial, dict) and all(k.isdecimal() for k in initial),
+             "'initial' must map indices n >= 0 to rationals")
+    try:  # with the fields above checked, only a term can fail to parse
+        rec = dfinite_mod.parse_recurrence_job(job)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValidationError(f"bad 'initial' term: {exc}") from exc
     n_max = _int_param(job, "N", default=500, minimum=3)
     epsilon = job.get("epsilon", 0.5)
     _require(_is_number(epsilon) and epsilon > 0,
              "'epsilon' must be a positive number")
     n0 = _int_param(job, "N0", default=10, minimum=2)
 
+    def rows(terms):
+        for n, t in enumerate(terms):
+            u, v = t.numerator, t.denominator
+            h = log_abs(max(abs(u), v))
+            yield str(n), format_ratio(u, v), _fmt(h), "" if n <= 1 else _fmt(h / math.log(n))
+
     def run():
         terms = dfinite_mod.expand_terms(rec, n_max)
         verdict = dfinite_mod.classify_height_growth(terms, epsilon=float(epsilon), n0=n0)
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["n", "term", "height", "ratio"])
-        for n, t in enumerate(terms):
-            h = height_rational(t)
-            ratio = "" if n <= 1 else _fmt(h / math.log(n))
-            writer.writerow([n, format_rational(t), _fmt(h), ratio])
+        report = report_csv(("n", "term", "height", "ratio"), rows(terms))
         payload = {
             "kind": "dfinite",
             "N": verdict.N,
@@ -210,17 +210,19 @@ def _build_dfinite(job: dict, params):
             "verified_to": verdict.verified_to,
             "tail_ratio": None if verdict.tail_ratio is None else _fmt(verdict.tail_ratio),
         }
-        return buf.getvalue(), payload
+        return report, payload
 
     return run
 
 
 def _parse_set(data, field: str) -> EventuallyPeriodicSet:
     _require(isinstance(data, dict), f"'{field}' must be a set object")
-    try:
-        return EventuallyPeriodicSet.from_json(data)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(f"bad '{field}' set: {exc}") from exc
+    _require(_is_number(data.get("modulus"), (int,)), f"'{field}' needs an integer 'modulus'")
+    for key in ("residues", "added", "removed"):
+        items = data.get(key, [])
+        _require(isinstance(items, list) and all(_is_number(x, (int,)) for x in items),
+                 f"'{field}' {key} must be a list of integers")
+    return EventuallyPeriodicSet.from_json(data)
 
 
 def _build_density(job: dict, params):
@@ -277,54 +279,31 @@ def _build_schanuel(job: dict, params):
 
 
 def _build_dml(job: dict, params):
-    variables = _parse_variables(job)
-    phi = parse_map(job.get("map", []), variables)
-    _require(len(phi.components) == len(variables), "'map' must be a self-map")
-    start = _parse_start(job, len(variables))
+    variables, phi, _, start = _parse_map_job(job, observable=False)
     equations = job.get("Y")
     _require(isinstance(equations, list) and equations,
              "'Y' must be a nonempty list of polynomial equations")
-    polys = []
-    for text in equations:
-        rf = parse_expression(str(text), variables)
-        _require(rf.den.is_constant(),
-                 f"subvariety equation {text!r} must be polynomial")
-        polys.append(rf.num.scale(Fraction(1) / rf.den.constant_value()))
-    subvariety = dml_mod.Subvariety(tuple(polys))
+    subvariety = dml_mod.Subvariety(tuple(parse_polynomial(t, variables) for t in equations))
     n_max = _int_param(job, "N", minimum=0)
     min_terms = _int_param(job, "min_terms", default=5, minimum=3)
 
     def run():
         hits = dml_mod.return_set(phi, start, subvariety, n_max)
         decomp = dml_mod.ap_decompose(hits, n_max, min_terms=min_terms)
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["n", "component"])
         membership = {}
         for prog in decomp.progressions:
             for t in prog.terms_up_to(decomp.horizon):
                 membership[t] = f"progression(a={prog.a},d={prog.d})"
         for t in decomp.residual:
             membership[t] = "residual"
-        for t in decomp.hits:
-            writer.writerow([t, membership[t]])
-        payload = json.loads(decomp.to_json())
-        return buf.getvalue(), payload
+        report = report_csv(("n", "component"), ((str(t), membership[t]) for t in decomp.hits))
+        return report, json.loads(decomp.to_json())
 
     return run
 
 
 def _build_commuting(job: dict, params):
-    variables = _parse_variables(job)
-    maps_field = job.get("maps")
-    _require(isinstance(maps_field, list) and maps_field
-             and all(isinstance(m, list) for m in maps_field),
-             "'maps' must be a list of component lists")
-    maps = [parse_map(m, variables) for m in maps_field]
-    for phi in maps:
-        _require(len(phi.components) == len(variables), "each map must be a self-map")
-    observable = parse_expression(str(job.get("observable", "")), variables)
-    start = _parse_start(job, len(variables))
+    _, maps, observable, start = _parse_map_job(job, several=True)
     n_max = _int_param(job, "N", minimum=2)
     n0 = _int_param(job, "N0", default=2, minimum=2)
     norms = _parse_set(job.get("T", NATURALS.to_json()), "T")

@@ -9,8 +9,6 @@ wherever it is defined.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -24,7 +22,7 @@ from .errors import (
     InvalidParameter,
     NotCommuting,
 )
-from .exact import P1Value, as_pair, height_projective
+from .exact import P1Value, as_pair, height_projective, report_csv
 from .orbit import State, step
 from .poly import (
     INDETERMINATE,
@@ -235,12 +233,8 @@ def norm_sliced_diagnostics(
 
 def grid_to_csv(mtrace: MultiTrace) -> str:
     """Grid as CSV with columns n1..nm, value, height (undefined rows skipped)."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    m = mtrace.num_maps
-    writer.writerow([f"n{i + 1}" for i in range(m)] + ["value", "height"])
-    for idx in sorted(mtrace.entries):
-        entry = mtrace.entries[idx]
-        writer.writerow(list(idx) + [str(entry.value), f"{entry.height:.6f}"])
-    return buf.getvalue()
-
+    header = [f"n{i + 1}" for i in range(mtrace.num_maps)] + ["value", "height"]
+    return report_csv(header, (
+        (*map(str, idx), str(entry.value), f"{entry.height:.6f}")
+        for idx, entry in sorted(mtrace.entries.items())
+    ))

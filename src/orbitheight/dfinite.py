@@ -24,8 +24,8 @@ from .errors import (
     MissingInitialTerm,
     MissingSingularTerm,
 )
-from .exact import as_pair, height_rational, reduced_pair
-from .poly import Polynomial, RationalFunction, RationalMap, parse_expression
+from .exact import as_pair, log_abs, reduced_pair
+from .poly import Polynomial, RationalFunction, RationalMap, parse_polynomial
 
 
 @dataclass(frozen=True)
@@ -182,7 +182,7 @@ class GrowthVerdict:
     tail_ratio: Optional[float] = None
 
 
-def _minimal_periodicity(terms: Sequence[Fraction]) -> Optional[tuple[int, int]]:
+def _minimal_periodicity(terms: Sequence) -> Optional[tuple[int, int]]:
     """Smallest (preperiod s, period p), lexicographically, with
     a_{n+p} = a_n on all of [s, N-p] and at least one equation checked.
 
@@ -223,8 +223,8 @@ def classify_height_growth(
     n_last = len(terms) - 1
     if n_last <= n0:
         raise HorizonTooShort(f"need terms beyond n0={n0}, have {n_last + 1}")
-    terms = [Fraction(t) for t in terms]
-    found = _minimal_periodicity(terms)
+    pairs = [as_pair(t) for t in terms]  # compared and measured as int pairs
+    found = _minimal_periodicity(pairs)
     if found is not None:
         period, preperiod = found
         return GrowthVerdict(
@@ -238,8 +238,8 @@ def classify_height_growth(
         )
     tail_start = max(n0, math.ceil(n_last / 2))
     tail_ratio = max(
-        height_rational(terms[n]) / math.log(n)
-        for n in range(tail_start, n_last + 1)
+        log_abs(max(abs(u), v)) / math.log(n)
+        for n, (u, v) in enumerate(pairs[tail_start:], tail_start)
     )
     if tail_ratio > epsilon:
         return GrowthVerdict(
@@ -260,15 +260,7 @@ def parse_recurrence_job(data: dict) -> PRecurrence:
     expression grammar with the single variable n.
     """
     order = int(data["order"])
-    coeff_texts = data["coeffs"]
-    coeffs = []
-    for text in coeff_texts:
-        rf = parse_expression(str(text), ("n",))
-        if not rf.den.is_constant():
-            raise InvalidParameter(
-                f"coefficient {text!r} is not polynomial in n"
-            )
-        coeffs.append(rf.num.scale(Fraction(1) / rf.den.constant_value()))
+    coeffs = [parse_polynomial(text, ("n",)) for text in data["coeffs"]]
     initial = {
         int(k): Fraction(str(v)) for k, v in data.get("initial", {}).items()
     }

@@ -14,7 +14,8 @@ numerator and denominator, that gcd divides R: it is taken on residues
 mod R, in time linear in the value, and skipped when |R| = 1.
 `fractions.Fraction` appears only at the boundary, in parsed input
 and public return types; exact values in report text go through
-:func:`format_int`.
+:func:`format_int`, and every CSV report is joined by :func:`report_csv`
+from rows of str fields.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
@@ -49,9 +51,27 @@ def format_ratio(num: int, den: int) -> str:
     return format_int(num) if den == 1 else f"{format_int(num)}/{format_int(den)}"
 
 
-def format_rational(q: Fraction) -> str:
-    """Serialize as "p/q", omitting the denominator when it is 1."""
-    return format_ratio(q.numerator, q.denominator)
+def report_csv(header: Sequence[str], rows: Iterable[Sequence[str]]) -> str:
+    """Comma-separated text of a header and rows, each a sequence of two or
+    more str fields, one line per row ending in "\\n".  Rows are consumed as
+    they are produced, and each line is checked by counting its commas, not
+    character by character: a field holding "," is quoted as
+    `csv.QUOTE_MINIMAL` quotes it, and a field holding '"', "\\r" or "\\n"
+    raises ValueError.
+    """
+    quoted = 0
+    lines = []
+    for row in chain((header,), rows):
+        line = ",".join(row)
+        if line.count(",") >= len(row):
+            quoted += sum("," in f for f in row)
+            line = ",".join([f'"{f}"' if "," in f else f for f in row])
+        lines.append(line)
+    lines.append("")
+    text = "\n".join(lines)
+    if text.count("\n") != len(lines) - 1 or text.count('"') != 2 * quoted or "\r" in text:
+        raise ValueError('a report field holds \'"\', "\\r" or "\\n"')
+    return text
 
 
 def as_pair(q) -> tuple[int, int]:

@@ -5,16 +5,16 @@ stopping early if the map or the observable leaves the affine chart.  Every
 orbit, commuting grids included, advances through :func:`step` on int
 pairs.  On top of traces sit the two desk-scale diagnostics:
 eventual-periodicity detection through repeated value windows, and the
-height/log n ratio statistics (tail sup/inf, below-curve densities).
+height/log n ratio statistics (tail sup/inf, below-curve densities).  Both,
+and the CSV report, read the integers of states and values directly.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from typing import Iterator, Optional, Sequence, Union
 
 from .errors import (
@@ -23,7 +23,7 @@ from .errors import (
     HorizonTooShort,
     InvalidParameter,
 )
-from .exact import P1Value, as_pair, format_ratio, height_projective
+from .exact import P1Value, as_pair, format_int, height_projective, report_csv
 from .poly import INDETERMINATE, RationalFunction, RationalMap, evaluate_pairs
 
 COMPLETED = "completed"
@@ -184,12 +184,12 @@ def detect_window_repeat(trace: OrbitTrace, ell: int) -> Optional[WindowRepeat]:
     """Find the lexicographically first i < j with equal (ell+1)-windows.
 
     Windows y_i = (v_i, ..., v_{i+ell}) are compared componentwise as
-    points of P^1.  Returns None when all windows up to the horizon are
-    distinct.
+    points of P^1, on their canonical coordinates.  Returns None when all
+    windows up to the horizon are distinct.
     """
     if ell < 0:
         raise InvalidParameter("window length must be nonnegative")
-    values = trace.values()
+    values = [row.value.coords for row in trace.rows]
     n_last = len(values) - 1
     if n_last < ell:
         raise HorizonTooShort(f"trace ends at {n_last}, window needs {ell}")
@@ -308,13 +308,22 @@ def epsilon_bounds(mode: Union[Limsup, Uniform]) -> Union[Fraction, float]:
 def trace_to_csv(trace: OrbitTrace) -> str:
     """Rows as CSV: n, point (semicolon-joined), value, height, ratio.
 
-    The ratio column h_n / log n is empty for n <= 1.
+    The ratio column h_n / log n is empty for n <= 1.  Each integer is
+    formatted once per row, and row n reuses the digit strings of row n - 1.
     """
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["n", "point", "value", "height", "ratio"])
-    for row in trace.rows:
-        point_s = ";".join(format_ratio(a, b) for a, b in row.state)
-        ratio = "" if row.n <= 1 else f"{row.height / math.log(row.n):.6f}"
-        writer.writerow([row.n, point_s, str(row.value), f"{row.height:.6f}", ratio])
-    return buf.getvalue()
+    def rows():
+        prev: dict[int, str] = {}
+        for row in trace.rows:
+            digits: dict[int, str] = {}
+            for k in chain(*row.state, row.value.coords):
+                if k not in digits:
+                    digits[k] = prev.get(k) or format_int(k)
+            point = ";".join(
+                digits[a] if b == 1 else f"{digits[a]}/{digits[b]}" for a, b in row.state
+            )
+            p, q = row.value.coords
+            ratio = "" if row.n <= 1 else f"{row.height / math.log(row.n):.6f}"
+            yield (str(row.n), point, f"({digits[p]}:{digits[q]})", f"{row.height:.6f}", ratio)
+            prev = digits
+
+    return report_csv(("n", "point", "value", "height", "ratio"), rows())

@@ -39,6 +39,7 @@ from typing import Sequence, Union
 from .errors import (
     DimensionMismatch,
     ExpressionSyntaxError,
+    InvalidParameter,
     UnknownVariable,
     ZeroDenominator,
 )
@@ -714,6 +715,14 @@ def parse_expression(text: str, variables: Sequence[str]) -> RationalFunction:
     Parsing, serializing with str(), and parsing again is idempotent.
     """
     return _Parser(text, variables).parse()
+
+
+def parse_polynomial(text: str, variables: Sequence[str]) -> Polynomial:
+    """Parse an expression that must be a polynomial over Q."""
+    rf = parse_expression(str(text), variables)
+    if not rf.den.is_constant():
+        raise InvalidParameter(f"{text!r} is not a polynomial in {', '.join(variables)}")
+    return rf.num.scale(Fraction(1) / rf.den.constant_value())
 
 
 def parse_map(component_texts: Sequence[str], variables: Sequence[str]) -> RationalMap:

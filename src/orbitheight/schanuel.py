@@ -12,13 +12,12 @@ N(B)/B^(n+1) are displayed against.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import BudgetExceeded, InvalidParameter
+from .exact import report_csv
 
 DEFAULT_BUDGET = 10**9
 
@@ -190,17 +189,13 @@ def schanuel_fit(
 
 def fit_to_csv(fit: SchanuelFit) -> str:
     """CSV with columns B, count, ratio, kappa_fit, analytic_constant."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["B", "count", "ratio", "kappa_fit", "analytic_constant"])
-    for rep in fit.reports:
-        writer.writerow(
-            [
-                rep.B,
-                rep.count,
-                f"{rep.ratio:.6f}",
-                "" if rep.kappa_fit is None else f"{rep.kappa_fit:.6f}",
-                f"{fit.constant:.6f}",
-            ]
+    return report_csv(("B", "count", "ratio", "kappa_fit", "analytic_constant"), (
+        (
+            str(rep.B),
+            str(rep.count),
+            f"{rep.ratio:.6f}",
+            "" if rep.kappa_fit is None else f"{rep.kappa_fit:.6f}",
+            f"{fit.constant:.6f}",
         )
-    return buf.getvalue()
+        for rep in fit.reports
+    ))

@@ -180,6 +180,16 @@ GAP_JOB = {"kind": "gap", "variables": ["x"], "map": ["x+1"], "observable": "x",
            "start": ["0"], "N": 10}
 DFINITE_JOB = {"kind": "dfinite", "order": 1, "coeffs": ["-(n+1)", "1"],
                "initial": {"0": "1"}, "offset": 0, "N": 30}
+ORBIT_JOB = {"kind": "orbit", "variables": ["x", "y"], "map": ["y", "x+y"],
+             "observable": "x/y", "start": ["0", "1"], "N": 5}
+COMMUTING_JOB = {"kind": "commuting", "variables": ["x", "y"],
+                 "maps": [["x+1", "y"], ["x", "y+1"]], "observable": "x*y",
+                 "start": ["1", "1"], "N": 4}
+DENSITY_JOB = {"kind": "density", "set": {"modulus": 2, "residues": [0]}}
+
+
+def _without(job, key):
+    return {k: v for k, v in job.items() if k != key}
 
 
 @pytest.mark.parametrize("job, fixed", [
@@ -189,10 +199,35 @@ DFINITE_JOB = {"kind": "dfinite", "order": 1, "coeffs": ["-(n+1)", "1"],
     ({**GAP_JOB, "curve_constants": [math.nan]}, {"curve_constants": [1.5]}),
     ({**DFINITE_JOB, "epsilon": True}, {"epsilon": 1}),
     ({**DFINITE_JOB, "epsilon": math.inf}, {"epsilon": 0.25}),
+    (_without(DFINITE_JOB, "order"), {"order": 1}),
+    (_without(DFINITE_JOB, "coeffs"), {"coeffs": ["-(n+1)", "1"]}),
+    ({**DFINITE_JOB, "order": "x"}, {"order": 1}),
+    ({**DFINITE_JOB, "order": 1.7}, {"order": 1}),
+    ({**DFINITE_JOB, "offset": "z"}, {"offset": 0}),
+    ({**DFINITE_JOB, "offset": -1}, {"offset": 0}),
+    ({**DFINITE_JOB, "initial": {"a": "1"}}, {"initial": {"0": "1"}}),
+    ({**DFINITE_JOB, "initial": ["1"]}, {"initial": {"0": "1"}}),
+    ({**DFINITE_JOB, "initial": {"0": "1/0"}}, {"initial": {"0": "1"}}),
+    ({**ORBIT_JOB, "map": "xy"}, {"map": ["y", "x+y"]}),
+    ({**ORBIT_JOB, "map": [1, "x+y"]}, {"map": ["y", "x+y"]}),
+    ({**COMMUTING_JOB, "maps": [["x+1", 2], ["x", "y+1"]]}, {"maps": COMMUTING_JOB["maps"]}),
+    ({**ORBIT_JOB, "variables": ["x", "x"], "map": ["x", "x+1"], "observable": "x"},
+     {"variables": ["x", "y"]}),
+    ({**DENSITY_JOB, "set": {"modulus": True, "residues": [0]}}, DENSITY_JOB),
+    ({**DENSITY_JOB, "set": {"modulus": "2", "residues": [0]}}, DENSITY_JOB),
+    ({**DENSITY_JOB, "set": {"modulus": 2, "residues": [0.5]}}, DENSITY_JOB),
+    ({**DENSITY_JOB, "set": {"modulus": 2, "residues": [0], "added": ["7"]}}, DENSITY_JOB),
+    ({**COMMUTING_JOB, "T": {"modulus": "2", "residues": [0]}},
+     {"T": {"modulus": 2, "residues": [0]}}),
 ], ids=["B_list", "tail_fraction", "curve_constants", "curve_constants-nan", "epsilon",
-        "epsilon-inf"])
+        "epsilon-inf", "order-missing", "coeffs-missing", "order-str", "order-float", "offset-str",
+        "offset-negative",         "initial-key", "initial-list", "initial-zero-den", "map-str", "map-int",
+        "maps-int", "variables-dup", "modulus-true", "modulus-str", "residues-float",
+        "added-str", "T-modulus-str"])
 def test_non_numeric_field_exit_2_no_output(job, fixed, tmp_path):
-    """JSON true, NaN and Infinity are not numbers; the same job with a number runs."""
+    """A field of the wrong JSON type or shape exits 2 without output (true,
+    NaN and Infinity are not numbers, "2" is not an integer, a string is not
+    a list); the same job with a well-formed field runs."""
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(job))
     out_dir = tmp_path / "out"

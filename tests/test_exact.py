@@ -1,4 +1,7 @@
+import csv
+import io
 import math
+import string
 from fractions import Fraction
 
 import pytest
@@ -8,11 +11,12 @@ from orbitheight.errors import AllZero
 from orbitheight.exact import (
     P1Value,
     PrimitiveVector,
-    format_rational,
+    format_ratio,
     height_projective,
     height_rational,
     normalize_projective,
     p1_value,
+    report_csv,
     segre_fold,
     segre_product,
 )
@@ -119,5 +123,44 @@ def test_p1_value():
 
 def test_serialization():
     assert str(PrimitiveVector((3, 6, 2))) == "(3:6:2)"
-    assert format_rational(Fraction(2, 3)) == "2/3"
-    assert format_rational(Fraction(5)) == "5"
+    assert format_ratio(2, 3) == "2/3"
+    assert format_ratio(-5, 1) == "-5"
+
+
+# --- the report writer against csv.writer ---
+
+REPORT_ALPHABET = string.digits + string.ascii_letters + "-/;:()., =[]{}+_"
+report_fields = st.one_of(
+    st.text(REPORT_ALPHABET, max_size=12),
+    st.sampled_from(["progression(a=0,d=2)", "mod 3: {0,1} +{7}", ",", ",,", ""]),
+)
+report_rows = st.lists(report_fields, min_size=2, max_size=6)
+
+
+def csv_writer_text(header, rows) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+@given(report_rows, st.lists(report_rows, max_size=8))
+def test_report_csv_matches_csv_writer(header, rows):
+    assert report_csv(header, (tuple(r) for r in rows)) == csv_writer_text(header, rows)
+
+
+def test_report_csv_quotes_only_fields_with_commas():
+    text = report_csv(("n", "component"), iter([("0", "progression(a=0,d=2)"), ("1", "residual")]))
+    assert text == 'n,component\n0,"progression(a=0,d=2)"\n1,residual\n'
+
+
+@pytest.mark.parametrize("bad", [
+    'say "hi"', '"', "a\nb", "a\rb", "end\n", 'x,"y"', '"x,y"', "x,\ny",
+])
+def test_report_csv_rejects_quotes_and_line_breaks(bad):
+    for header, rows in [(("a", "b"), [("1", bad)]),
+                         (("a", "b"), [("1", "p,q"), (bad, "2")]),
+                         (("a", bad), [])]:
+        with pytest.raises(ValueError):
+            report_csv(header, iter(rows))

@@ -5,13 +5,18 @@ term by term, P^1 values are canonicalized through the validating public
 constructor, and orbits are stepped one `Fraction` point at a time.  The
 compiled integer evaluators, `apply_map`, the int-pair stepper behind
 `iterate_orbit` and `iterate_points`, and the return sets of `dml` must agree
-with it exactly, including where numerators or denominators vanish.
+with it exactly, including where numerators or denominators vanish.  Orbit
+reports are checked the same way, against `csv.writer` fed from the oracle.
 """
 
+import csv
+import io
+import math
 import pickle
 import sys
 import time
 from fractions import Fraction
+from itertools import chain
 from math import gcd
 
 import pytest
@@ -20,6 +25,7 @@ from hypothesis import event, given, settings, strategies as st
 from orbitheight.dml import Subvariety, return_set
 from orbitheight.errors import DimensionMismatch, OrbitUndefined
 from orbitheight.exact import P1Value, as_pair
+from orbitheight import orbit as orbit_mod
 from orbitheight.orbit import (
     COMPLETED,
     HIT_MAP_INDETERMINACY,
@@ -27,6 +33,7 @@ from orbitheight.orbit import (
     iterate_orbit,
     iterate_points,
     step,
+    trace_to_csv,
 )
 from orbitheight.poly import (
     INDETERMINATE,
@@ -99,6 +106,19 @@ def oracle_orbit(phi, observable, start, n_max):
             return points, values, HIT_MAP_INDETERMINACY, n + 1
         point = tuple(nxt)
     return points, values, COMPLETED, None
+
+
+def oracle_trace_csv(points, values) -> str:
+    """The orbit report of oracle points and values, field by field through csv.writer."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["n", "point", "value", "height", "ratio"])
+    for n, (point, value) in enumerate(zip(points, values)):
+        p, q = value.coords
+        height = math.log(max(abs(p), abs(q)))
+        ratio = "" if n <= 1 else f"{height / math.log(n):.6f}"
+        writer.writerow([n, ";".join(str(c) for c in point), f"({p}:{q})", f"{height:.6f}", ratio])
+    return buf.getvalue()
 
 
 def oracle_points(phi, start, n_steps):
@@ -384,6 +404,46 @@ def test_oracle_cases_cover_every_stop():
         assert (trace.stop_reason, trace.stop_index) == (stop_reason, stop_index)
         assert [row.point for row in trace.rows] == points
         assert [row.value for row in trace.rows] == values
+
+
+@settings(max_examples=200)
+@given(maps_and_starts(), st.integers(0, 6))
+def test_trace_csv_matches_reference_formatter(case, n_max):
+    phi, observable, start = case
+    points, values, _, _ = oracle_orbit(phi, observable, start, n_max)
+    trace = iterate_orbit(phi, observable, start, n_max)
+    assert trace_to_csv(trace) == oracle_trace_csv(points, values)
+
+
+def test_trace_csv_fixed_cases():
+    """Digit strings reused across rows, signs that flip from row to row,
+    values at infinity, and p/q points; the Fibonacci trace formats each
+    integer once."""
+    cases = [
+        (["y", "x+y"], "x/y", ["0", "1"], 40),  # point and value share F_n, F_(n+1)
+        (["-x"], "x", ["2"], 5),  # 2 and -2 alternate between rows
+        (["y", "-x"], "x-y", ["3", "-3"], 6),  # -3 and 3 in one row
+        (["x+1"], "1/(x+3)", ["-6"], 8),  # the value (1:0) at n = 3
+        (["x/2+1/3"], "(x-1)/(x+1)", ["-3/7"], 10),  # p/q points and values
+    ]
+    for components, obs, start_text, n_max in cases:
+        variables = VARIABLES[: len(components)]
+        phi = RationalMap(variables, tuple(parse_expression(c, variables) for c in components))
+        observable = parse_expression(obs, variables)
+        start = tuple(Fraction(c) for c in start_text)
+        points, values, _, _ = oracle_orbit(phi, observable, start, n_max)
+        assert trace_to_csv(iterate_orbit(phi, observable, start, n_max)) == \
+            oracle_trace_csv(points, values), components
+
+
+def test_trace_csv_formats_each_integer_once(monkeypatch):
+    calls = []
+    monkeypatch.setattr(orbit_mod, "format_int", lambda k: calls.append(k) or str(k))
+    phi = RationalMap(("x", "y"), (parse_expression("y", ("x", "y")),
+                                   parse_expression("x+y", ("x", "y"))))
+    trace = iterate_orbit(phi, parse_expression("x/y", ("x", "y")), (Fraction(0), Fraction(1)), 60)
+    trace_to_csv(trace)
+    assert sorted(calls) == sorted({k for row in trace.rows for k in chain(*row.state, row.value.coords)})
 
 
 @settings(max_examples=200)
