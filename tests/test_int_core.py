@@ -20,10 +20,10 @@ from itertools import chain
 from math import gcd
 
 import pytest
-from hypothesis import event, given, settings, strategies as st
+from hypothesis import event, example, given, settings, strategies as st
 
 from orbitheight.dml import Subvariety, return_set
-from orbitheight.errors import DimensionMismatch, OrbitUndefined
+from orbitheight.errors import DimensionMismatch, OrbitUndefined, ValueTooLarge
 from orbitheight.exact import P1Value, as_pair
 from orbitheight import orbit as orbit_mod
 from orbitheight.orbit import (
@@ -406,13 +406,31 @@ def test_oracle_cases_cover_every_stop():
         assert [row.value for row in trace.rows] == values
 
 
+_XY = ("x", "y")
+_PAST_STR_LIMIT = (  # h(x^2 y^2) at n = 6 runs to about 16000 bits
+    RationalMap(_XY, (parse_expression("x*y^2", _XY), parse_expression("x^2*y^2", _XY))),
+    parse_expression("x^2*y^2", _XY),
+    (Fraction(3), Fraction(5, 2)),
+)
+
+
 @settings(max_examples=200)
 @given(maps_and_starts(), st.integers(0, 6))
+@example(_PAST_STR_LIMIT, 6)
 def test_trace_csv_matches_reference_formatter(case, n_max):
+    """Where an integer of the report is past the int-to-str limit, the
+    reference formatter raises ValueError and trace_to_csv ValueTooLarge."""
     phi, observable, start = case
     points, values, _, _ = oracle_orbit(phi, observable, start, n_max)
     trace = iterate_orbit(phi, observable, start, n_max)
-    assert trace_to_csv(trace) == oracle_trace_csv(points, values)
+    try:
+        expected = oracle_trace_csv(points, values)
+    except ValueError:
+        event("past the int-to-str limit")
+        with pytest.raises(ValueTooLarge):
+            trace_to_csv(trace)
+    else:
+        assert trace_to_csv(trace) == expected
 
 
 def test_trace_csv_fixed_cases():
