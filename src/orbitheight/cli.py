@@ -37,7 +37,7 @@ from . import orbit as orbit_mod
 from . import schanuel as schanuel_mod
 from .density import EventuallyPeriodicSet, NATURALS, density as set_density, shift_set
 from .errors import OrbitHeightError, ValidationError
-from .exact import format_ratio, log_abs, report_csv
+from .exact import format_ratio, height_pair, report_csv
 from .poly import parse_expression, parse_map, parse_polynomial
 
 KINDS = ("orbit", "gap", "dfinite", "density", "schanuel", "dml", "commuting")
@@ -113,10 +113,10 @@ def _build_orbit(job: dict, params):
         payload = {
             "kind": "orbit",
             "horizon": trace.horizon,
-            "rows": len(trace.rows),
+            "rows": len(trace.states),
             "stop_reason": trace.stop_reason,
             "stop_index": trace.stop_index,
-            "last_height": _fmt(trace.rows[-1].height) if trace.rows else None,
+            "last_height": _fmt(trace.h[-1]) if trace.h else None,
         }
         return orbit_mod.trace_to_csv(trace), payload
 
@@ -192,7 +192,7 @@ def _build_dfinite(job: dict, params):
     def rows(terms):
         for n, t in enumerate(terms):
             u, v = t.numerator, t.denominator
-            h = log_abs(max(abs(u), v))
+            h = height_pair(u, v)
             yield str(n), format_ratio(u, v), _fmt(h), "" if n <= 1 else _fmt(h / math.log(n))
 
     def run():
@@ -236,14 +236,7 @@ def _build_density(job: dict, params):
             ("shift_set", str(sigma)),
             ("shift_set_density", str(set_density(sigma))),
         ]
-        payload = {
-            "kind": "density",
-            "set": str(subset),
-            "density": str(set_density(subset)),
-            "shift_set": str(sigma),
-            "shift_set_density": str(set_density(sigma)),
-        }
-        return _metrics_csv(rows), payload
+        return _metrics_csv(rows), {"kind": "density", **dict(rows)}
 
     return run
 
@@ -315,7 +308,7 @@ def _build_commuting(job: dict, params):
             "kind": "commuting",
             "maps": len(maps),
             "norm_bound": n_max,
-            "entries": len(mtrace.entries),
+            "entries": len(mtrace.coords),
             "undefined": len(mtrace.undefined_at),
             "T": str(norms),
             "sup_ratio": _fmt(report.sup_ratio),

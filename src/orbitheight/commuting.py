@@ -4,12 +4,13 @@ Commutation is checked symbolically (cross-multiplied composites), so a
 negative verdict is a proof.  Grids are filled in waves of the 1-norm: an
 entry at multi-index n comes from any defined predecessor n - e_i by one
 application of map i; commutativity makes the result path-independent
-wherever it is defined.
+wherever it is defined.  A grid keeps its entries as int-pair columns.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -22,16 +23,9 @@ from .errors import (
     InvalidParameter,
     NotCommuting,
 )
-from .exact import P1Value, as_pair, height_projective, report_csv
+from .exact import P1Value, as_pair, format_int, height_pair, report_csv
 from .orbit import State, step
-from .poly import (
-    INDETERMINATE,
-    RationalFunction,
-    RationalMap,
-    compose,
-    evaluate_pairs,
-    rf_equal,
-)
+from .poly import RationalFunction, RationalMap, compose, p1_pair, rf_equal
 
 MAX_MAPS = 3
 MAX_NORM = 200
@@ -71,20 +65,41 @@ class GridEntry:
     height: float
 
 
+class _EntryView(Mapping):
+    """Read-only mapping multi-index -> GridEntry, built only when read."""
+
+    def __init__(self, coords: dict, h: dict):
+        self._coords, self._h = coords, h
+
+    def __getitem__(self, idx) -> GridEntry:
+        return GridEntry(value=P1Value._trusted(self._coords[idx]), height=self._h[idx])
+
+    def __iter__(self):
+        return iter(self._coords)
+
+    def __len__(self) -> int:
+        return len(self._coords)
+
+
 @dataclass(frozen=True)
 class MultiTrace:
-    """Observable values over the lattice ball {n in N^m : |n|_1 <= N}."""
+    """Observable values (p, q) and heights over the ball {n in N^m : |n|_1 <= N}."""
 
     maps: tuple[RationalMap, ...]
     observable: RationalFunction
     start: tuple[Fraction, ...]
     norm_bound: int
-    entries: dict[tuple[int, ...], GridEntry]
+    coords: dict[tuple[int, ...], tuple[int, int]]
+    h: dict[tuple[int, ...], float]
     undefined_at: frozenset[tuple[int, ...]]
 
     @property
     def num_maps(self) -> int:
         return len(self.maps)
+
+    @property
+    def entries(self) -> Mapping[tuple[int, ...], GridEntry]:
+        return _EntryView(self.coords, self.h)
 
 
 def _wave(m: int, s: int):
@@ -151,19 +166,16 @@ def grid_orbit(
             else:
                 points[idx] = value
 
-    entries: dict[tuple[int, ...], GridEntry] = {}
-    for idx, point in points.items():
-        v = evaluate_pairs(observable, point)
-        if v is INDETERMINATE:
-            undefined.add(idx)
-            continue
-        entries[idx] = GridEntry(value=v, height=height_projective(v))
+    values = {idx: p1_pair(observable, point) for idx, point in points.items()}
+    coords = {idx: value for idx, value in values.items() if value is not None}
+    undefined.update(values.keys() - coords.keys())  # the observable is 0/0 there
     return MultiTrace(
         maps=maps,
         observable=observable,
         start=tuple(Fraction(c) for c in start),
         norm_bound=norm_bound,
-        entries=entries,
+        coords=coords,
+        h={idx: height_pair(p, q) for idx, (p, q) in coords.items()},
         undefined_at=frozenset(undefined),
     )
 
@@ -204,27 +216,19 @@ def norm_sliced_diagnostics(
         raise EmptyIntersection(
             f"no norms of the set fall in [{n0}, {mtrace.norm_bound}]"
         )
-    by_norm: dict[int, list[tuple[tuple[int, ...], GridEntry]]] = {}
-    for idx, entry in mtrace.entries.items():
-        s = sum(idx)
+    by_norm: dict[int, list[tuple[tuple[int, ...], float]]] = {}
+    for idx, height in mtrace.h.items():
         if index_filter is not None and not index_filter(idx):
             continue
-        by_norm.setdefault(s, []).append((idx, entry))
+        by_norm.setdefault(sum(idx), []).append((idx, height))
     stats = []
     for s in wanted:
         bucket = by_norm.get(s)
         if not bucket:
             continue
         # lexicographically smallest index among those achieving the maximum
-        idx, entry = max(sorted(bucket), key=lambda pair: pair[1].height)
-        stats.append(
-            SliceStat(
-                s=s,
-                max_height=entry.height,
-                ratio=entry.height / math.log(s),
-                argmax=idx,
-            )
-        )
+        idx, height = max(sorted(bucket), key=lambda pair: pair[1])
+        stats.append(SliceStat(s=s, max_height=height, ratio=height / math.log(s), argmax=idx))
     if not stats:
         raise EmptyIntersection("every requested slice is undefined or filtered out")
     top = max(stats, key=lambda st: st.ratio)
@@ -234,7 +238,8 @@ def norm_sliced_diagnostics(
 def grid_to_csv(mtrace: MultiTrace) -> str:
     """Grid as CSV with columns n1..nm, value, height (undefined rows skipped)."""
     header = [f"n{i + 1}" for i in range(mtrace.num_maps)] + ["value", "height"]
+    coords, h = mtrace.coords, mtrace.h
     return report_csv(header, (
-        (*map(str, idx), str(entry.value), f"{entry.height:.6f}")
-        for idx, entry in sorted(mtrace.entries.items())
+        (*map(str, idx), "({}:{})".format(*map(format_int, coords[idx])), f"{h[idx]:.6f}")
+        for idx in sorted(coords)
     ))

@@ -13,7 +13,7 @@ General subsets of N only admit the empirical prefix density; the counter
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 from typing import Iterable
 
 from .errors import HypothesisViolated, InvalidParameter
@@ -135,9 +135,8 @@ class EventuallyPeriodicSet:
 
 
 def _least_modulus(m: int, residues: frozenset[int]) -> tuple[int, frozenset[int]]:
-    for d in range(1, m + 1):
-        if m % d:
-            continue
+    small = [d for d in range(1, isqrt(m) + 1) if m % d == 0]  # divisors up to sqrt(m)
+    for d in small + [m // d for d in reversed(small) if d * d != m]:
         classes = frozenset(r % d for r in residues)
         # R must be exactly the union of those classes of modulus d
         if len(residues) == len(classes) * (m // d):
@@ -165,11 +164,12 @@ def density(s: EventuallyPeriodicSet) -> Fraction:
 def _combine(a: EventuallyPeriodicSet, b: EventuallyPeriodicSet, keep) -> EventuallyPeriodicSet:
     m = a.modulus * b.modulus // gcd(a.modulus, b.modulus)
     residues = [r for r in range(m) if keep(r % a.modulus in a.residues, r % b.modulus in b.residues)]
+    periodic_part = set(residues)
     bound = max(a.stabilization_bound, b.stabilization_bound)
     added, removed = [], []
     for n in range(bound):
         actual = keep(n in a, n in b)
-        periodic = n % m in set(residues)
+        periodic = n % m in periodic_part
         if actual and not periodic:
             added.append(n)
         elif periodic and not actual:
@@ -188,12 +188,12 @@ def intersection(a: EventuallyPeriodicSet, b: EventuallyPeriodicSet) -> Eventual
 def shift(s: EventuallyPeriodicSet, i: int) -> EventuallyPeriodicSet:
     """The translate {x + i : x in S}, truncated below 0 when i < 0."""
     m = s.modulus
-    residues = [(r + i) % m for r in s.residues]
+    residues = {(r + i) % m for r in s.residues}
     scan_to = max(0, s.stabilization_bound + i, i)
     added, removed = [], []
     for n in range(scan_to):
         actual = (n - i) in s
-        periodic = n % m in set(residues)
+        periodic = n % m in residues
         if actual and not periodic:
             added.append(n)
         elif periodic and not actual:

@@ -24,7 +24,7 @@ from .errors import (
     MissingInitialTerm,
     MissingSingularTerm,
 )
-from .exact import as_pair, log_abs, reduced_pair
+from .exact import as_pair, height_pair, reduced_pair
 from .poly import Polynomial, RationalFunction, RationalMap, parse_polynomial
 
 
@@ -238,7 +238,7 @@ def classify_height_growth(
         )
     tail_start = max(n0, math.ceil(n_last / 2))
     tail_ratio = max(
-        log_abs(max(abs(u), v)) / math.log(n)
+        height_pair(u, v) / math.log(n)
         for n, (u, v) in enumerate(pairs[tail_start:], tail_start)
     )
     if tail_ratio > epsilon:

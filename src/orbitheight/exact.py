@@ -15,7 +15,9 @@ mod R, in time linear in the value, and skipped when |R| = 1.
 `fractions.Fraction` appears only at the boundary, in parsed input
 and public return types; exact values in report text go through
 :func:`format_int`, and every CSV report is joined by :func:`report_csv`
-from rows of str fields.
+from rows of str fields.  The same rule holds for P^1 values: orbit traces
+and grids keep them as canonical pairs (p, q) with heights from
+:func:`height_pair`, and build `P1Value` objects only for the rows read.
 """
 
 from __future__ import annotations
@@ -171,20 +173,19 @@ def p1_value(num: Fraction | int, den: Fraction | int) -> P1Value:
     return P1Value._trusted(normalize_projective([num, den]).coords)
 
 
-def log_abs(n: int) -> float:
-    """Natural log of |n| for a nonzero integer of any size."""
-    # math.log takes arbitrary-precision ints directly (no float overflow)
-    return math.log(abs(n))
+def height_pair(p: int, q: int) -> float:
+    """Height log max(|p|, |q|) of (p : q) in P^1, for coprime ints of any size."""
+    return math.log(max(abs(p), abs(q)))
 
 
 def height_projective(point: PrimitiveVector) -> float:
     """Absolute logarithmic Weil height: log max|x_i| on primitive coords."""
-    return log_abs(point.max_abs())
+    return math.log(point.max_abs())
 
 
 def height_rational(q: Fraction) -> float:
     """Height of an affine rational value, i.e. of (numerator : denominator)."""
-    return log_abs(max(abs(q.numerator), q.denominator))
+    return height_pair(q.numerator, q.denominator)
 
 
 def segre_product(p: PrimitiveVector, q: PrimitiveVector) -> PrimitiveVector:

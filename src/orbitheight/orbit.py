@@ -3,10 +3,11 @@
 An orbit trace records (n, point, observed value, height) for n = 0..N,
 stopping early if the map or the observable leaves the affine chart.  Every
 orbit, commuting grids included, advances through :func:`step` on int
-pairs.  On top of traces sit the two desk-scale diagnostics:
-eventual-periodicity detection through repeated value windows, and the
-height/log n ratio statistics (tail sup/inf, below-curve densities).  Both,
-and the CSV report, read the integers of states and values directly.
+pairs, and a trace keeps its rows as int-pair columns; `rows` and `values()`
+build objects only for the rows read.  On top of traces sit the two desk-scale
+diagnostics: eventual-periodicity detection through repeated value windows,
+and the height/log n ratio statistics (tail sup/inf, below-curve densities).
+Both, and the CSV report, read the columns.
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain
-from typing import Iterator, Optional, Sequence, Union
+from itertools import chain, count, starmap
+from typing import Callable, Iterator, Optional, Sequence, Union
 
 from .errors import (
     DimensionMismatch,
@@ -23,8 +24,8 @@ from .errors import (
     HorizonTooShort,
     InvalidParameter,
 )
-from .exact import P1Value, as_pair, format_int, height_projective, report_csv
-from .poly import INDETERMINATE, RationalFunction, RationalMap, evaluate_pairs
+from .exact import P1Value, as_pair, format_int, height_pair, report_csv
+from .poly import RationalFunction, RationalMap, p1_pair
 
 COMPLETED = "completed"
 HIT_MAP_INDETERMINACY = "map-indeterminacy"
@@ -48,25 +49,50 @@ class OrbitRow:
         return tuple(Fraction(a, b) for a, b in self.state)
 
 
+class _RowView:
+    """Read-only sequence whose item k is `build(k)`, made only when read."""
+
+    def __init__(self, build: Callable[[int], object], length: int):
+        self._build, self._range = build, range(length)
+
+    def __len__(self) -> int:
+        return len(self._range)
+
+    def __getitem__(self, k):
+        k = self._range[k]  # IndexError, negative k and slices as for a tuple
+        return [*map(self._build, k)] if isinstance(k, range) else self._build(k)
+
+
 @dataclass(frozen=True)
 class OrbitTrace:
+    """Rows n as columns: the state (reduced int pairs), the canonical (p, q)
+    of its value and the height h_n = log max(|p|, |q|)."""
+
     map: RationalMap
     observable: RationalFunction
     start: tuple[Fraction, ...]
-    rows: tuple[OrbitRow, ...]
+    states: tuple[State, ...]
+    coords: tuple[tuple[int, int], ...]
+    h: tuple[float, ...]
     horizon: int
     stop_reason: str
     stop_index: Optional[int] = None
 
     @property
     def last_n(self) -> int:
-        return self.rows[-1].n
+        return len(self.states) - 1
 
-    def values(self) -> list[P1Value]:
-        return [r.value for r in self.rows]
+    @property
+    def rows(self) -> Sequence[OrbitRow]:
+        states, coords, h = self.states, self.coords, self.h
+        return _RowView(lambda n: OrbitRow(n, states[n], P1Value._trusted(coords[n]), h[n]),
+                       len(states))
 
-    def heights(self) -> list[float]:
-        return [r.height for r in self.rows]
+    def values(self) -> Sequence[P1Value]:
+        return _RowView(lambda n: P1Value._trusted(self.coords[n]), len(self.coords))
+
+    def heights(self) -> Sequence[float]:
+        return self.h
 
 
 def step(phi: RationalMap, state: State) -> Optional[State]:
@@ -139,22 +165,24 @@ def iterate_orbit(
     if observable.variables != phi.variables:
         raise DimensionMismatch("observable and map must share a variable list")
     _check_start(phi, start)
-    rows: list[OrbitRow] = []
+    states, coords = [], []
     stop_reason, stop_index = COMPLETED, None
-    for n, state in enumerate(_states(phi, start, n_max)):
-        value = evaluate_pairs(observable, state)
-        if value is INDETERMINATE:
-            stop_reason, stop_index = HIT_OBSERVABLE_INDETERMINACY, n
+    for state in _states(phi, start, n_max):
+        value = p1_pair(observable, state)
+        if value is None:
+            stop_reason, stop_index = HIT_OBSERVABLE_INDETERMINACY, len(states)
             break
-        rows.append(OrbitRow(n, state, value, height_projective(value)))
-    else:
-        if len(rows) <= n_max:
-            stop_reason, stop_index = HIT_MAP_INDETERMINACY, len(rows)
+        states.append(state)
+        coords.append(value)
+    if stop_index is None and len(states) <= n_max:
+        stop_reason, stop_index = HIT_MAP_INDETERMINACY, len(states)
     return OrbitTrace(
         map=phi,
         observable=observable,
         start=tuple(Fraction(c) for c in start),
-        rows=tuple(rows),
+        states=tuple(states),
+        coords=tuple(coords),
+        h=tuple(starmap(height_pair, coords)),
         horizon=n_max,
         stop_reason=stop_reason,
         stop_index=stop_index,
@@ -189,20 +217,16 @@ def detect_window_repeat(trace: OrbitTrace, ell: int) -> Optional[WindowRepeat]:
     """
     if ell < 0:
         raise InvalidParameter("window length must be nonnegative")
-    values = [row.value.coords for row in trace.rows]
+    values = trace.coords
     n_last = len(values) - 1
     if n_last < ell:
         raise HorizonTooShort(f"trace ends at {n_last}, window needs {ell}")
     first_seen: dict[tuple, int] = {}
     best: Optional[tuple[int, int]] = None
-    for i in range(n_last - ell + 1):
-        window = tuple(values[i : i + ell + 1])
-        if window in first_seen:
-            pair = (first_seen[window], i)
-            if best is None or pair < best:
-                best = pair
-        else:
-            first_seen[window] = i
+    for j in range(n_last - ell + 1):
+        i = first_seen.setdefault(values[j : j + ell + 1], j)
+        if i < j and (best is None or (i, j) < best):
+            best = (i, j)
     if best is None:
         return None
     i, j = best
@@ -244,18 +268,14 @@ def gap_diagnostics(
     if n_last <= n0:
         raise EmptyTail(f"trace ends at {n_last}, diagnostics start at {n0}")
     tail_start = max(n0, math.ceil((1 - tail_fraction) * n_last))
-    ratios = [
-        row.height / math.log(row.n) for row in trace.rows if row.n >= tail_start
-    ]
+    h = trace.h[n0:]
+    logs = [math.log(n) for n in range(n0, n_last + 1)]
+    ratios = [x / y for x, y in zip(h[tail_start - n0 :], logs[tail_start - n0 :])]
     if not ratios:
         raise EmptyTail("tail window is empty")
-    densities = []
     span = n_last - n0 + 1
-    for c in curve_constants:
-        hits = sum(
-            1 for row in trace.rows if row.n >= n0 and row.height <= c * math.log(row.n)
-        )
-        densities.append((float(c), Fraction(hits, span)))
+    densities = [(float(c), Fraction(sum(x <= c * y for x, y in zip(h, logs)), span))
+                 for c in curve_constants]
     return GapReport(
         N0=n0,
         tail_start=tail_start,
@@ -313,17 +333,17 @@ def trace_to_csv(trace: OrbitTrace) -> str:
     """
     def rows():
         prev: dict[int, str] = {}
-        for row in trace.rows:
+        for n, state, value, h in zip(count(), trace.states, trace.coords, trace.h):
             digits: dict[int, str] = {}
-            for k in chain(*row.state, row.value.coords):
+            for k in chain(*state, value):
                 if k not in digits:
                     digits[k] = prev.get(k) or format_int(k)
             point = ";".join(
-                digits[a] if b == 1 else f"{digits[a]}/{digits[b]}" for a, b in row.state
+                digits[a] if b == 1 else f"{digits[a]}/{digits[b]}" for a, b in state
             )
-            p, q = row.value.coords
-            ratio = "" if row.n <= 1 else f"{row.height / math.log(row.n):.6f}"
-            yield (str(row.n), point, f"({digits[p]}:{digits[q]})", f"{row.height:.6f}", ratio)
+            p, q = value
+            ratio = "" if n <= 1 else f"{h / math.log(n):.6f}"
+            yield (str(n), point, f"({digits[p]}:{digits[q]})", f"{h:.6f}", ratio)
             prev = digits
 
     return report_csv(("n", "point", "value", "height", "ratio"), rows())

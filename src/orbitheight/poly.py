@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Sequence, Union
+from typing import Optional, Sequence, Union
 
 from .errors import (
     DimensionMismatch,
@@ -493,25 +493,22 @@ def evaluate(rf: RationalFunction, point: Sequence[Fraction]) -> Union[P1Value, 
     the point at infinity (1 : 0) when only the denominator vanishes, and
     `INDETERMINATE` when both vanish.
     """
-    return evaluate_pairs(rf, [as_pair(p) for p in point])
+    coords = p1_pair(rf, [as_pair(p) for p in point])
+    return INDETERMINATE if coords is None else P1Value._trusted(coords)
 
 
-def evaluate_pairs(
-    rf: RationalFunction, pairs: Sequence[tuple[int, int]]
-) -> Union[P1Value, Indeterminate]:
-    """:func:`evaluate` at a point given as reduced int pairs (a_i, b_i), b_i > 0.
-
-    The pairs must be reduced: the compiled form bounds the gcd of its value
-    by its resultant on that premise, so unreduced pairs are not supported.
-    """
+def p1_pair(rf: RationalFunction, pairs: Sequence[tuple[int, int]]) -> Optional[tuple[int, int]]:
+    """Canonical (p, q) of rf at reduced int pairs (a_i, b_i), b_i > 0, or
+    None where rf is indeterminate.  The pairs must be reduced: the compiled
+    form bounds the gcd of its value by its resultant on that premise."""
     form = rf.form
     n, d = form.pair_at(pairs)
     if n == 0 and d == 0:
-        return INDETERMINATE
+        return None
     g = 1 if form.resultant == 1 else form.divisor(n, d)
     if n < 0 or (n == 0 and d < 0):
         g = -g
-    return P1Value._trusted((n, d) if g == 1 else (n // g, d // g))
+    return (n, d) if g == 1 else (n // g, d // g)
 
 
 @dataclass(frozen=True)

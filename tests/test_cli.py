@@ -147,14 +147,18 @@ def test_zero_denominator_expression_exit_2(tmp_path):
 
 
 def test_runtime_indeterminacy_exit_3(tmp_path):
-    job = tmp_path / "undef.json"
-    job.write_text(json.dumps({
-        "kind": "dml", "variables": ["x"], "map": ["1/x"],
-        "start": ["0"], "Y": ["x"], "N": 5,
-    }))
-    out_dir = tmp_path / "out"
-    assert main(["run", str(job), "--out", str(out_dir)]) == 3
-    assert not out_dir.exists()
+    jobs = [
+        {"kind": "dml", "variables": ["x"], "map": ["1/x"], "start": ["0"], "Y": ["x"], "N": 5},
+        # the observable is 0/0 at n = 0, so the trace has no rows
+        {"kind": "gap", "variables": ["x"], "map": ["x+1"], "observable": "(x-1)/(x-1)",
+         "start": ["1"], "N": 10},
+    ]
+    for k, data in enumerate(jobs):
+        job = tmp_path / f"undef{k}.json"
+        job.write_text(json.dumps(data))
+        out_dir = tmp_path / f"out{k}"
+        assert main(["run", str(job), "--out", str(out_dir)]) == 3
+        assert not out_dir.exists()
 
 
 def test_budget_exit_3(tmp_path):

@@ -1,10 +1,14 @@
+import json
 import random
 from fractions import Fraction
+from time import perf_counter
 
 import pytest
 from hypothesis import given, strategies as st
 
+from orbitheight.cli import run_job
 from orbitheight.density import (
+    _least_modulus,
     EMPTY,
     NATURALS,
     EventuallyPeriodicSet,
@@ -47,6 +51,47 @@ def test_least_modulus_canonicalization():
     assert EventuallyPeriodicSet(6, [0, 2, 4]) == evens()
     assert EventuallyPeriodicSet(6, [0, 3]).modulus == 3
     assert EventuallyPeriodicSet(4, [0, 1]).modulus == 4
+
+
+def least_modulus_by_scan(m, residues):
+    """Reference: try every d in 1..m."""
+    for d in range(1, m + 1):
+        if m % d:
+            continue
+        classes = frozenset(r % d for r in residues)
+        if len(residues) == len(classes) * (m // d):
+            return d, classes
+    return m, residues
+
+
+@st.composite
+def moduli_and_residues(draw):
+    """A modulus m <= 2000 and residues mod m lifted from some divisor d of m,
+    optionally with one class toggled, so that both the reducible and the
+    irreducible cases are drawn."""
+    m = draw(st.integers(1, 2000))
+    d = draw(st.sampled_from([d for d in range(1, m + 1) if m % d == 0]))
+    base = draw(st.sets(st.integers(0, d - 1)))
+    residues = {r + k * d for r in base for k in range(m // d)}
+    if draw(st.booleans()):
+        residues ^= {draw(st.integers(0, m - 1))}
+    return m, frozenset(residues)
+
+
+@given(moduli_and_residues())
+def test_least_modulus_matches_scan(case):
+    m, residues = case
+    assert _least_modulus(m, residues) == least_modulus_by_scan(m, residues)
+
+
+def test_density_job_with_huge_modulus_runs_fast(tmp_path):
+    job = tmp_path / "big.json"
+    job.write_text(json.dumps({"kind": "density", "set": {"modulus": 300_000_000, "residues": [0, 1]}}))
+    t0 = perf_counter()
+    csv_path, json_path = run_job(job, out_dir=tmp_path)
+    assert perf_counter() - t0 < 1.0
+    assert json.loads(json_path.read_text())["shift_set"] == "mod 300000000: {0,1,299999999}"
+    assert csv_path.read_text().splitlines()[2] == "density,1/150000000"
 
 
 def test_set_algebra_examples():

@@ -24,7 +24,7 @@ from hypothesis import event, example, given, settings, strategies as st
 
 from orbitheight.dml import Subvariety, return_set
 from orbitheight.errors import DimensionMismatch, OrbitUndefined, ValueTooLarge
-from orbitheight.exact import P1Value, as_pair
+from orbitheight.exact import P1Value, as_pair, height_projective
 from orbitheight import orbit as orbit_mod
 from orbitheight.orbit import (
     COMPLETED,
@@ -377,6 +377,11 @@ def test_stepper_matches_fraction_oracle(case, n_max):
     assert [row.state for row in trace.rows] == [
         tuple((q.numerator, q.denominator) for q in p) for p in points
     ]
+    # the columns the views read: states, canonical (p, q), heights
+    assert trace.states == tuple(row.state for row in trace.rows)
+    assert trace.coords == tuple(v.coords for v in values)
+    assert trace.h == trace.heights() == tuple(height_projective(v) for v in values)
+    assert list(trace.values()) == values
 
     assert iterate_points(phi, start, n_max) == oracle_points(phi, start, n_max)
 
