@@ -40,9 +40,6 @@ from .errors import OrbitHeightError, ValidationError
 from .exact import format_ratio, height_pair, report_csv
 from .poly import parse_expression, parse_map, parse_polynomial
 
-KINDS = ("orbit", "gap", "dfinite", "density", "schanuel", "dml", "commuting")
-
-
 def _require(cond: bool, message: str) -> None:
     if not cond:
         raise ValidationError(message)
@@ -104,7 +101,7 @@ def _metrics_csv(rows: list[tuple[str, str]]) -> str:
 
 # --- per-kind builders: validate and close over everything, run later ---
 
-def _build_orbit(job: dict, params):
+def _build_orbit(job: dict, budget: int):
     _, phi, observable, start = _parse_map_job(job)
     n_max = _int_param(job, "N", minimum=0)
 
@@ -123,7 +120,7 @@ def _build_orbit(job: dict, params):
     return run
 
 
-def _build_gap(job: dict, params):
+def _build_gap(job: dict, budget: int):
     _, phi, observable, start = _parse_map_job(job)
     n_max = _int_param(job, "N", minimum=2)
     n0 = _int_param(job, "N0", default=2, minimum=2)
@@ -172,7 +169,7 @@ def _build_gap(job: dict, params):
     return run
 
 
-def _build_dfinite(job: dict, params):
+def _build_dfinite(job: dict, budget: int):
     _int_param(job, "order", minimum=1)
     _int_param(job, "offset", default=0, minimum=0)
     _require(isinstance(job.get("coeffs"), list), "'coeffs' must be a list of polynomials in n")
@@ -225,7 +222,7 @@ def _parse_set(data, field: str) -> EventuallyPeriodicSet:
     return EventuallyPeriodicSet.from_json(data)
 
 
-def _build_density(job: dict, params):
+def _build_density(job: dict, budget: int):
     subset = _parse_set(job.get("set"), "set")
 
     def run():
@@ -241,7 +238,7 @@ def _build_density(job: dict, params):
     return run
 
 
-def _build_schanuel(job: dict, params):
+def _build_schanuel(job: dict, budget: int):
     n = _int_param(job, "n", minimum=1)
     bounds = job.get("B_list")
     _require(isinstance(bounds, list) and bounds
@@ -249,9 +246,7 @@ def _build_schanuel(job: dict, params):
              "'B_list' must be a nonempty list of bounds >= 1")
 
     def run():
-        fit = schanuel_mod.schanuel_fit(
-            n, bounds, budget=params.budget, threads=params.threads
-        )
+        fit = schanuel_mod.schanuel_fit(n, bounds, budget=budget)
         payload = {
             "kind": "schanuel",
             "n": n,
@@ -271,7 +266,7 @@ def _build_schanuel(job: dict, params):
     return run
 
 
-def _build_dml(job: dict, params):
+def _build_dml(job: dict, budget: int):
     variables, phi, _, start = _parse_map_job(job, observable=False)
     equations = job.get("Y")
     _require(isinstance(equations, list) and equations,
@@ -295,7 +290,7 @@ def _build_dml(job: dict, params):
     return run
 
 
-def _build_commuting(job: dict, params):
+def _build_commuting(job: dict, budget: int):
     _, maps, observable, start = _parse_map_job(job, several=True)
     n_max = _int_param(job, "N", minimum=2)
     n0 = _int_param(job, "N0", default=2, minimum=2)
@@ -337,19 +332,14 @@ _BUILDERS = {
     "dml": _build_dml,
     "commuting": _build_commuting,
 }
+KINDS = tuple(_BUILDERS)
 
 
-class _Params:
-    def __init__(self, threads: int, budget: int):
-        self.threads = threads
-        self.budget = budget
-
-
-def _build(job: dict, params: _Params):
+def _build(job: dict, budget: int):
     """Build phase: anything that fails here is a validation error (exit 2),
     including expression-level problems like identically-zero denominators."""
     try:
-        return _BUILDERS[job["kind"]](job, params)
+        return _BUILDERS[job["kind"]](job, budget)
     except ValidationError:
         raise
     except OrbitHeightError as exc:
@@ -359,7 +349,7 @@ def _build(job: dict, params: _Params):
 def _parse_job_text(text: str, source: str) -> dict:
     try:
         job = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # malformed JSON, or an integer past the int-from-str limit
         raise ValidationError(f"malformed JSON in {source}: {exc}") from exc
     _require(isinstance(job, dict), "job file must contain a JSON object")
     kind = job.get("kind")
@@ -412,7 +402,7 @@ def run_job(
     _require(threads >= 1, "threads must be >= 1")
     stem, text, default_dir = _read_job_source(str(path))
     job = _parse_job_text(text, str(path))
-    runner = _build(job, _Params(threads=threads, budget=budget))
+    runner = _build(job, budget)
     csv_text, payload = runner()
     json_text = json.dumps(payload, indent=2) + "\n"
 
@@ -429,7 +419,7 @@ def validate_job(path: str | Path) -> None:
     """Schema/expression validation without running the job."""
     _, text, _ = _read_job_source(str(path))
     job = _parse_job_text(text, str(path))
-    _build(job, _Params(threads=1, budget=schanuel_mod.DEFAULT_BUDGET))
+    _build(job, schanuel_mod.DEFAULT_BUDGET)
 
 
 def main(argv=None) -> int:

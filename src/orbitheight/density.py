@@ -13,7 +13,7 @@ General subsets of N only admit the empirical prefix density; the counter
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt
+from math import lcm
 from typing import Iterable
 
 from .errors import HypothesisViolated, InvalidParameter
@@ -22,9 +22,11 @@ from .errors import HypothesisViolated, InvalidParameter
 class EventuallyPeriodicSet:
     """Residue classes mod m plus a finite symmetric difference.
 
-    Canonical form: the least modulus among equivalent representations,
-    added elements not already in the periodic part, removed elements
-    taken from it.  Instances are immutable and hashable.
+    Canonical form: the least modulus among equivalent representations
+    (the least period of the residues, read off their differences, so the
+    cost depends on the listed residues and never on factoring m), added
+    elements not already in the periodic part, removed elements taken from
+    it.  Instances are immutable and hashable.
     """
 
     __slots__ = ("modulus", "residues", "added", "removed")
@@ -135,13 +137,21 @@ class EventuallyPeriodicSet:
 
 
 def _least_modulus(m: int, residues: frozenset[int]) -> tuple[int, frozenset[int]]:
-    small = [d for d in range(1, isqrt(m) + 1) if m % d == 0]  # divisors up to sqrt(m)
-    for d in small + [m // d for d in reversed(small) if d * d != m]:
-        classes = frozenset(r % d for r in residues)
-        # R must be exactly the union of those classes of modulus d
-        if len(residues) == len(classes) * (m // d):
-            return d, classes
-    return m, residues
+    """The least period t of R mod m, with R reduced mod t.
+
+    The periods t with R + t = R (mod m) form a subgroup of Z/m, generated
+    by its least positive element g, a divisor of m; every period is a
+    multiple of g.  For any r0 in R, r0 + g lies in R, so g is one of the
+    differences r - r0 (or m itself) and the least candidate that is a
+    period; the test m % t skips most other candidates cheaply.  Only the
+    listed residues are tried, so m is never factored.
+    """
+    if not residues:
+        return 1, residues
+    r0 = min(residues)
+    for t in sorted({(r - r0) % m for r in residues} - {0} | {m}):
+        if m % t == 0 and all((r + t) % m in residues for r in residues):
+            return t, frozenset(r % t for r in residues)
 
 
 NATURALS = EventuallyPeriodicSet(1, [0])
@@ -161,20 +171,20 @@ def density(s: EventuallyPeriodicSet) -> Fraction:
     return Fraction(len(s.residues), s.modulus)
 
 
-def _combine(a: EventuallyPeriodicSet, b: EventuallyPeriodicSet, keep) -> EventuallyPeriodicSet:
-    m = a.modulus * b.modulus // gcd(a.modulus, b.modulus)
-    residues = [r for r in range(m) if keep(r % a.modulus in a.residues, r % b.modulus in b.residues)]
-    periodic_part = set(residues)
-    bound = max(a.stabilization_bound, b.stabilization_bound)
+def _with_prefix(m: int, residues: Iterable[int], bound: int, member) -> EventuallyPeriodicSet:
+    """Residues R mod m, with membership of each n < bound given by member(n);
+    the constructor drops every exception that agrees with R."""
     added, removed = [], []
     for n in range(bound):
-        actual = keep(n in a, n in b)
-        periodic = n % m in periodic_part
-        if actual and not periodic:
-            added.append(n)
-        elif periodic and not actual:
-            removed.append(n)
+        (added if member(n) else removed).append(n)
     return EventuallyPeriodicSet(m, residues, added, removed)
+
+
+def _combine(a: EventuallyPeriodicSet, b: EventuallyPeriodicSet, keep) -> EventuallyPeriodicSet:
+    m = lcm(a.modulus, b.modulus)
+    residues = [r for r in range(m) if keep(r % a.modulus in a.residues, r % b.modulus in b.residues)]
+    bound = max(a.stabilization_bound, b.stabilization_bound)
+    return _with_prefix(m, residues, bound, lambda n: keep(n in a, n in b))
 
 
 def union(a: EventuallyPeriodicSet, b: EventuallyPeriodicSet) -> EventuallyPeriodicSet:
@@ -187,18 +197,8 @@ def intersection(a: EventuallyPeriodicSet, b: EventuallyPeriodicSet) -> Eventual
 
 def shift(s: EventuallyPeriodicSet, i: int) -> EventuallyPeriodicSet:
     """The translate {x + i : x in S}, truncated below 0 when i < 0."""
-    m = s.modulus
-    residues = {(r + i) % m for r in s.residues}
-    scan_to = max(0, s.stabilization_bound + i, i)
-    added, removed = [], []
-    for n in range(scan_to):
-        actual = (n - i) in s
-        periodic = n % m in residues
-        if actual and not periodic:
-            added.append(n)
-        elif periodic and not actual:
-            removed.append(n)
-    return EventuallyPeriodicSet(m, residues, added, removed)
+    bound = max(0, s.stabilization_bound + i, i)
+    return _with_prefix(s.modulus, [r + i for r in s.residues], bound, lambda n: n - i in s)
 
 
 def set_algebra(op: str, *args) -> EventuallyPeriodicSet:

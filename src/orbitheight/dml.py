@@ -93,6 +93,13 @@ def ap_decompose(hits: Sequence[int], horizon: int, min_terms: int = 5) -> Retur
     (ties: smallest start) whose terms up to the horizon are all present,
     number at least min_terms, and reach past horizon - d; whatever remains
     is the residual, reported with its prefix density |residual|/(N+1).
+
+    One pass over (d, a) in lexicographic order finds the same progressions:
+    a pair qualifies only if all its terms remain, and removing terms never
+    adds any, so a pair that failed once fails for good, and each pair taken
+    is the least one qualifying at that point.  The pass ends when no hit
+    remains or no start a <= horizon - (min_terms - 1)*d is left.  Terms run
+    to the horizon, so the continuation rule holds by construction.
     """
     if min_terms < 3:
         raise InvalidParameter("min_terms must be at least 3")
@@ -101,12 +108,14 @@ def ap_decompose(hits: Sequence[int], horizon: int, min_terms: int = 5) -> Retur
         raise InvalidParameter("hits must lie in [0, horizon]")
     remaining = set(hit_list)
     progressions: list[Progression] = []
-    while True:
-        found = _smallest_progression(remaining, horizon, min_terms)
-        if found is None:
-            break
-        progressions.append(found)
-        remaining.difference_update(found.terms_up_to(horizon))
+    d = 1
+    while remaining and (last_start := horizon - (min_terms - 1) * d) >= 0:
+        for a in sorted(x for x in remaining if x <= last_start):
+            terms = range(a, horizon + 1, d)
+            if remaining.issuperset(terms):
+                progressions.append(Progression(a=a, d=d))
+                remaining.difference_update(terms)
+        d += 1
     residual = tuple(sorted(remaining))
     return ReturnDecomposition(
         horizon=horizon,
@@ -115,16 +124,3 @@ def ap_decompose(hits: Sequence[int], horizon: int, min_terms: int = 5) -> Retur
         residual=residual,
         residual_prefix_density=Fraction(len(residual), horizon + 1),
     )
-
-
-def _smallest_progression(remaining: set[int], horizon: int, min_terms: int):
-    # terms run to the horizon, so the "reaches within d of the horizon"
-    # continuation rule is satisfied by construction
-    for d in range(1, horizon + 1):
-        for a in sorted(remaining):
-            terms = range(a, horizon + 1, d)
-            if len(terms) < min_terms:
-                continue
-            if all(t in remaining for t in terms):
-                return Progression(a=a, d=d)
-    return None

@@ -31,6 +31,7 @@ Whitespace is insignificant; identifiers must be declared variables.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -427,9 +428,6 @@ class RationalFunction:
     def from_polynomial(cls, p: Polynomial) -> "RationalFunction":
         return cls(p, Polynomial.constant(p.variables, 1))
 
-    def is_constant(self) -> bool:
-        return self.num.is_constant() and self.den.is_constant()
-
     # --- field arithmetic (cross-multiplication, no gcd reduction) ---
 
     def __add__(self, other: "RationalFunction") -> "RationalFunction":
@@ -582,6 +580,7 @@ def rf_equal(a: RationalFunction, b: RationalFunction) -> bool:
 # --- recursive-descent parser ---
 
 _OPERATORS = set("+-*/^()")
+_DIGITS = set("0123456789")  # ASCII only: str.isdigit also admits '²' and '٣'
 
 
 class _Tokenizer:
@@ -597,10 +596,13 @@ class _Tokenizer:
         ch = self.text[self.pos]
         if ch in _OPERATORS:
             return ("op", ch, self.pos)
-        if ch.isdigit():
+        if ch in _DIGITS:
             j = self.pos
-            while j < len(self.text) and self.text[j].isdigit():
+            while j < len(self.text) and self.text[j] in _DIGITS:
                 j += 1
+            limit = getattr(sys, "get_int_max_str_digits", int)()  # 0: no limit
+            if 0 < limit < j - self.pos:
+                raise ExpressionSyntaxError(f"integer literal of more than {limit} digits", self.pos)
             return ("int", self.text[self.pos : j], self.pos)
         if ch.isalpha() or ch == "_":
             j = self.pos

@@ -176,14 +176,11 @@ def schanuel_fit(
     n: int,
     bounds: Sequence[int],
     budget: int = DEFAULT_BUDGET,
-    threads: int = 1,
 ) -> SchanuelFit:
     """Counts at each bound alongside the analytic comparison constant."""
     if not bounds:
         raise InvalidParameter("need at least one bound")
-    reports = tuple(
-        count_points(n, b, budget=budget, threads=threads) for b in bounds
-    )
+    reports = tuple(count_points(n, b, budget=budget) for b in bounds)
     return SchanuelFit(n=n, reports=reports, constant=analytic_constant(n))
 
 

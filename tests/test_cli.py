@@ -223,11 +223,12 @@ def _without(job, key):
     ({**DENSITY_JOB, "set": {"modulus": 2, "residues": [0], "added": ["7"]}}, DENSITY_JOB),
     ({**COMMUTING_JOB, "T": {"modulus": "2", "residues": [0]}},
      {"T": {"modulus": 2, "residues": [0]}}),
+    ({**ORBIT_JOB, "start": ["0", "1/0"]}, {"start": ["0", "1"]}),
 ], ids=["B_list", "tail_fraction", "curve_constants", "curve_constants-nan", "epsilon",
         "epsilon-inf", "order-missing", "coeffs-missing", "order-str", "order-float", "offset-str",
         "offset-negative",         "initial-key", "initial-list", "initial-zero-den", "map-str", "map-int",
         "maps-int", "variables-dup", "modulus-true", "modulus-str", "residues-float",
-        "added-str", "T-modulus-str"])
+        "added-str", "T-modulus-str", "start-zero-den"])
 def test_non_numeric_field_exit_2_no_output(job, fixed, tmp_path):
     """A field of the wrong JSON type or shape exits 2 without output (true,
     NaN and Infinity are not numbers, "2" is not an integer, a string is not
@@ -239,6 +240,25 @@ def test_non_numeric_field_exit_2_no_output(job, fixed, tmp_path):
     assert not out_dir.exists()
     path.write_text(json.dumps({**job, **fixed}))
     assert main(["run", str(path), "--out", str(out_dir)]) == 0
+
+
+def test_directory_as_job_path_exit_2_no_output(tmp_path):
+    (tmp_path / "x.json").mkdir()
+    out_dir = tmp_path / "out"
+    assert main(["run", str(tmp_path / "x.json"), "--out", str(out_dir)]) == 2
+    assert not out_dir.exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["x.json"]
+
+
+def test_dml_sporadic_hits_are_residual(tmp_path):
+    # x = n hits x*(x-3)*(x-7) = 0 at n = 0, 3, 7 only: no progression of 5 terms
+    job = tmp_path / "sporadic.json"
+    job.write_text(json.dumps({"kind": "dml", "variables": ["x"], "map": ["x+1"],
+                               "start": ["0"], "Y": ["x*(x-3)*(x-7)"], "N": 10}))
+    csv_path, json_path = run_job(job, out_dir=tmp_path / "out")
+    assert csv_path.read_text() == "n,component\n0,residual\n3,residual\n7,residual\n"
+    payload = json.loads(json_path.read_text())
+    assert payload["progressions"] == [] and payload["residual"] == [0, 3, 7]
 
 
 def test_run_job_from_explicit_path(tmp_path):
@@ -289,4 +309,23 @@ def test_value_past_int_str_limit_exit_3_no_output(job, tmp_path, capsys, int_st
     err = capsys.readouterr().err
     assert err.startswith("runtime error:")
     assert f"{int_str_limit} decimal digits" in err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("text", [
+    # a JSON integer past the int-from-str limit
+    '{"kind": "orbit", "variables": ["x"], "map": ["x+1"], "observable": "x", '
+    '"start": ["0"], "N": 1' + "0" * 4300 + "}",
+    # an expression literal past the same limit
+    json.dumps({**GAP_JOB, "map": ["x+1" + "0" * 4300]}),
+    # str.isdigit digits that are not ASCII
+    json.dumps({**GAP_JOB, "map": ["x^\u00b2"]}),
+    json.dumps({**GAP_JOB, "map": ["x^\u0663"]}),
+], ids=["json-int", "literal", "superscript-two", "arabic-indic-three"])
+def test_oversized_or_non_ascii_integer_exit_2_no_output(text, tmp_path, capsys, int_str_limit):
+    path = tmp_path / "digits.json"
+    path.write_text(text, encoding="utf-8")
+    out_dir = tmp_path / "out"
+    assert main(["run", str(path), "--out", str(out_dir)]) == 2
+    assert capsys.readouterr().err.startswith("validation error:")
     assert not out_dir.exists()

@@ -1,6 +1,7 @@
 import json
 import random
 from fractions import Fraction
+from math import lcm
 from time import perf_counter
 
 import pytest
@@ -85,13 +86,60 @@ def test_least_modulus_matches_scan(case):
 
 
 def test_density_job_with_huge_modulus_runs_fast(tmp_path):
-    job = tmp_path / "big.json"
-    job.write_text(json.dumps({"kind": "density", "set": {"modulus": 300_000_000, "residues": [0, 1]}}))
-    t0 = perf_counter()
-    csv_path, json_path = run_job(job, out_dir=tmp_path)
-    assert perf_counter() - t0 < 1.0
-    assert json.loads(json_path.read_text())["shift_set"] == "mod 300000000: {0,1,299999999}"
-    assert csv_path.read_text().splitlines()[2] == "density,1/150000000"
+    for m in (300_000_000, 30_000_000_000_000_000):
+        job = tmp_path / "big.json"
+        job.write_text(json.dumps({"kind": "density", "set": {"modulus": m, "residues": [0, 1]}}))
+        t0 = perf_counter()
+        csv_path, json_path = run_job(job, out_dir=tmp_path)
+        assert perf_counter() - t0 < 1.0
+        assert json.loads(json_path.read_text())["shift_set"] == f"mod {m}: {{0,1,{m - 1}}}"
+        assert csv_path.read_text().splitlines()[2] == f"density,1/{m // 2}"
+
+
+def combine_by_classes(a, b, keep):
+    """Reference: classify each n below the bound as added or removed here."""
+    m = lcm(a.modulus, b.modulus)
+    residues = [r for r in range(m) if keep(r % a.modulus in a.residues, r % b.modulus in b.residues)]
+    periodic_part = set(residues)
+    added, removed = [], []
+    for n in range(max(a.stabilization_bound, b.stabilization_bound)):
+        actual = keep(n in a, n in b)
+        periodic = n % m in periodic_part
+        if actual and not periodic:
+            added.append(n)
+        elif periodic and not actual:
+            removed.append(n)
+    return EventuallyPeriodicSet(m, residues, added, removed)
+
+
+def shift_by_classes(s, i):
+    """Reference: classify each n below the bound as added or removed here."""
+    m = s.modulus
+    residues = {(r + i) % m for r in s.residues}
+    added, removed = [], []
+    for n in range(max(0, s.stabilization_bound + i, i)):
+        actual = (n - i) in s
+        periodic = n % m in residues
+        if actual and not periodic:
+            added.append(n)
+        elif periodic and not actual:
+            removed.append(n)
+    return EventuallyPeriodicSet(m, residues, added, removed)
+
+
+@st.composite
+def sets_with_exceptions(draw):
+    m = draw(st.integers(1, 12))
+    naturals = st.lists(st.integers(0, 40), max_size=6)
+    return EventuallyPeriodicSet(m, draw(st.sets(st.integers(0, m - 1))),
+                                 draw(naturals), draw(naturals))
+
+
+@given(sets_with_exceptions(), sets_with_exceptions(), st.integers(-45, 45))
+def test_set_operations_match_classifying_reference(a, b, i):
+    assert union(a, b).to_json() == combine_by_classes(a, b, lambda x, y: x or y).to_json()
+    assert intersection(a, b).to_json() == combine_by_classes(a, b, lambda x, y: x and y).to_json()
+    assert shift(a, i).to_json() == shift_by_classes(a, i).to_json()
 
 
 def test_set_algebra_examples():

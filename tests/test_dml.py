@@ -1,8 +1,11 @@
+import random
 from fractions import Fraction
+from time import perf_counter
 
 import pytest
+from hypothesis import given, strategies as st
 
-from orbitheight.dml import Subvariety, ap_decompose, return_set
+from orbitheight.dml import Progression, ReturnDecomposition, Subvariety, ap_decompose, return_set
 from orbitheight.errors import InvalidParameter, OrbitUndefined
 from orbitheight.orbit import detect_window_repeat, iterate_orbit
 from orbitheight.poly import parse_expression, parse_map
@@ -128,3 +131,54 @@ def test_json_output():
         '{"hits": [3, 17], "progressions": [], "residual": [3, 17], '
         '"residual_density": "2/101"}'
     )
+
+
+def ap_decompose_by_restarts(hits, horizon, min_terms):
+    """Reference: after every progression found, search again from d = 1."""
+    remaining = set(hits)
+    progressions = []
+    while True:
+        found = next((
+            Progression(a=a, d=d)
+            for d in range(1, horizon + 1)
+            for a in sorted(remaining)
+            if len(range(a, horizon + 1, d)) >= min_terms
+            and all(t in remaining for t in range(a, horizon + 1, d))
+        ), None)
+        if found is None:
+            break
+        progressions.append(found)
+        remaining.difference_update(found.terms_up_to(horizon))
+    residual = tuple(sorted(remaining))
+    return ReturnDecomposition(horizon, tuple(sorted(set(hits))), tuple(progressions),
+                               residual, Fraction(len(residual), horizon + 1))
+
+
+@st.composite
+def hit_sets(draw):
+    """A horizon <= 150 and hits drawn either as a random set or as a union of
+    progressions that run to the horizon plus sporadic points."""
+    horizon = draw(st.integers(0, 150))
+    points = st.integers(0, horizon)
+    if draw(st.booleans()):
+        return horizon, draw(st.sets(points))
+    hits = draw(st.sets(points, max_size=8))
+    for _ in range(draw(st.integers(0, 4))):
+        d = draw(st.integers(1, max(1, horizon // 2)))
+        hits |= set(range(draw(points), horizon + 1, d))
+    return horizon, hits
+
+
+@given(hit_sets(), st.integers(3, 7))
+def test_one_pass_matches_restarts(case, min_terms):
+    horizon, hits = case
+    assert ap_decompose(hits, horizon, min_terms) == ap_decompose_by_restarts(hits, horizon, min_terms)
+
+
+def test_decompose_random_hits_runs_fast():
+    hits = random.Random(2500).sample(range(2501), 1250)
+    t0 = perf_counter()
+    d = ap_decompose(hits, 2500)
+    assert perf_counter() - t0 < 3.0
+    covered = sorted(d.residual + tuple(t for p in d.progressions for t in p.terms_up_to(2500)))
+    assert covered == sorted(hits)
