@@ -23,12 +23,10 @@ from .exact import (
     segre_product,
 )
 from .poly import (
-    INDETERMINATE,
     Polynomial,
     RationalFunction,
     RationalMap,
     compose,
-    evaluate,
     parse_expression,
     rf_equal,
 )
@@ -43,12 +41,10 @@ __all__ = [
     "height_rational",
     "normalize_projective",
     "segre_product",
-    "INDETERMINATE",
     "Polynomial",
     "RationalFunction",
     "RationalMap",
     "compose",
-    "evaluate",
     "parse_expression",
     "rf_equal",
     "__version__",

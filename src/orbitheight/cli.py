@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from fractions import Fraction
 from importlib import resources
@@ -174,8 +175,9 @@ def _build_dfinite(job: dict, budget: int):
     _int_param(job, "offset", default=0, minimum=0)
     _require(isinstance(job.get("coeffs"), list), "'coeffs' must be a list of polynomials in n")
     initial = job.get("initial", {})
-    _require(isinstance(initial, dict) and all(k.isdecimal() for k in initial),
-             "'initial' must map indices n >= 0 to rationals")
+    # canonical ASCII indices only: int() would merge "0" with "00" or an Arabic-Indic zero
+    _require(isinstance(initial, dict) and all(re.fullmatch("0|[1-9][0-9]*", k) for k in initial),
+             "'initial' must map indices n >= 0, written as decimal integers, to rationals")
     try:  # with the fields above checked, only a term can fail to parse
         rec = dfinite_mod.parse_recurrence_job(job)
     except (ValueError, ZeroDivisionError) as exc:
@@ -271,7 +273,8 @@ def _build_dml(job: dict, budget: int):
     equations = job.get("Y")
     _require(isinstance(equations, list) and equations,
              "'Y' must be a nonempty list of polynomial equations")
-    subvariety = dml_mod.Subvariety(tuple(parse_polynomial(t, variables) for t in equations))
+    # P/d = 0 where P = 0: each equation by its integer numerator
+    subvariety = dml_mod.Subvariety(tuple(parse_polynomial(t, variables)[0] for t in equations))
     n_max = _int_param(job, "N", minimum=0)
     min_terms = _int_param(job, "min_terms", default=5, minimum=3)
 

@@ -5,9 +5,6 @@ finitely many added/removed elements.  The class is closed under union,
 intersection, and shifts, and on it the upper asymptotic density equals
 the limit |R|/m exactly, so every density statement here is a statement
 about finite residue arithmetic.
-
-General subsets of N only admit the empirical prefix density; the counter
-|A intersect [1, n]| / n is provided for that purpose.
 """
 
 from __future__ import annotations
@@ -74,20 +71,6 @@ class EventuallyPeriodicSet:
         """Index from which membership is purely periodic."""
         exceptions = self.added | self.removed
         return max(exceptions) + 1 if exceptions else 0
-
-    def count_prefix(self, n: int) -> int:
-        """Exact |S intersect [1, n]|."""
-        if n < 1:
-            return 0
-        total = 0
-        for r in self.residues:
-            if r == 0:
-                total += n // self.modulus
-            elif r <= n:
-                total += (n - r) // self.modulus + 1
-        total += sum(1 for x in self.added if 1 <= x <= n)
-        total -= sum(1 for x in self.removed if 1 <= x <= n)
-        return total
 
     def is_empty(self) -> bool:
         return not self.residues and not self.added
@@ -162,10 +145,6 @@ def evens() -> EventuallyPeriodicSet:
     return EventuallyPeriodicSet(2, [0])
 
 
-def multiples_of(m: int) -> EventuallyPeriodicSet:
-    return EventuallyPeriodicSet(m, [0])
-
-
 def density(s: EventuallyPeriodicSet) -> Fraction:
     """Upper asymptotic density; on this class it is the exact limit |R|/m."""
     return Fraction(len(s.residues), s.modulus)
@@ -199,17 +178,6 @@ def shift(s: EventuallyPeriodicSet, i: int) -> EventuallyPeriodicSet:
     """The translate {x + i : x in S}, truncated below 0 when i < 0."""
     bound = max(0, s.stabilization_bound + i, i)
     return _with_prefix(s.modulus, [r + i for r in s.residues], bound, lambda n: n - i in s)
-
-
-def set_algebra(op: str, *args) -> EventuallyPeriodicSet:
-    """Dispatcher: op is "union", "intersection", or "shift" (set, i)."""
-    if op == "union":
-        return union(*args)
-    if op == "intersection":
-        return intersection(*args)
-    if op == "shift":
-        return shift(*args)
-    raise InvalidParameter(f"unknown set operation {op!r}")
 
 
 def shift_set(s: EventuallyPeriodicSet) -> EventuallyPeriodicSet:
@@ -252,11 +220,3 @@ def check_lemma_shifts(
         "no witness found although the hypotheses hold; this contradicts the "
         "pigeonhole bound and indicates a bug"
     )
-
-
-def empirical_density(indices: Iterable[int], n: int) -> Fraction:
-    """Prefix density |A intersect [1, n]| / n for an explicit index list."""
-    if n < 1:
-        raise InvalidParameter("prefix length must be positive")
-    hits = sum(1 for i in set(indices) if 1 <= i <= n)
-    return Fraction(hits, n)

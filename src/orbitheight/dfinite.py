@@ -66,11 +66,9 @@ def _integer_roots(p: Polynomial) -> set[int]:
     if low > 0:
         roots.add(0)
     # divide out n^low, then integer roots divide the constant term
-    shifted = {e[0] - low: c for e, c in p.terms.items()}
-    c0 = abs(int(shifted[0] * math.lcm(*[c.denominator for c in shifted.values()])))
-    for d in _divisors(c0):
+    for d in _divisors(abs(p.terms[(low,)])):
         for cand in (d, -d):
-            if p.evaluate([Fraction(cand)]) == 0:
+            if p.pair_at(((cand, 1),))[0] == 0:
                 roots.add(cand)
     return roots
 
@@ -257,10 +255,14 @@ def parse_recurrence_job(data: dict) -> PRecurrence:
 
     Expected shape: {"order": r, "coeffs": ["p0(n)", ..., "pr(n)"],
     "initial": {"0": "1", ...}, "offset": 0}; coefficient strings use the
-    expression grammar with the single variable n.
+    expression grammar with the single variable n.  Every p_k is scaled by
+    the lcm of their denominators, which leaves the recurrence and its terms
+    as they are and its coefficients integral.
     """
     order = int(data["order"])
-    coeffs = [parse_polynomial(text, ("n",)) for text in data["coeffs"]]
+    parsed = [parse_polynomial(text, ("n",)) for text in data["coeffs"]]
+    common = math.lcm(*[den for _, den in parsed])
+    coeffs = [num.scale(common // den) for num, den in parsed]
     initial = {
         int(k): Fraction(str(v)) for k, v in data.get("initial", {}).items()
     }

@@ -12,12 +12,14 @@ reduced int pair (numerator, denominator > 0) and spend at most one gcd per
 output value.  Where the compiled form knows the resultant R of its
 numerator and denominator, that gcd divides R: it is taken on residues
 mod R, in time linear in the value, and skipped when |R| = 1.
-`fractions.Fraction` appears only at the boundary, in parsed input
-and public return types; exact values in report text go through
-:func:`format_int`, and every CSV report is joined by :func:`report_csv`
-from rows of str fields.  The same rule holds for P^1 values: orbit traces
-and grids keep them as canonical pairs (p, q) with heights from
-:func:`height_pair`, and build `P1Value` objects only for the rows read.
+`fractions.Fraction` appears only at the boundary, in parsed start points
+and initial terms and in public return types; polynomial coefficients are
+ints, and a rational constant is the num/den of a rational function.
+Exact values in report text go through :func:`format_int`, and every CSV
+report is joined by :func:`report_csv` from rows of str fields.  The same
+rule holds for P^1 values: orbit traces and grids keep them as canonical
+pairs (p, q) with heights from :func:`height_pair`, and build `P1Value`
+objects only for the rows read.
 """
 
 from __future__ import annotations
@@ -168,11 +170,6 @@ def reduced_pair(num: int, den: int) -> tuple[int, int]:
     return num // g, den // g
 
 
-def p1_value(num: Fraction | int, den: Fraction | int) -> P1Value:
-    """The point (num : den) of P^1 in canonical coordinates."""
-    return P1Value._trusted(normalize_projective([num, den]).coords)
-
-
 def height_pair(p: int, q: int) -> float:
     """Height log max(|p|, |q|) of (p : q) in P^1, for coprime ints of any size."""
     return math.log(max(abs(p), abs(q)))
@@ -196,15 +193,3 @@ def segre_product(p: PrimitiveVector, q: PrimitiveVector) -> PrimitiveVector:
     max|p_i q_j| = max|p_i| * max|q_j|.
     """
     return PrimitiveVector._trusted(tuple([a * b for a in p.coords for b in q.coords]))
-
-
-def segre_fold(points: Iterable[PrimitiveVector]) -> PrimitiveVector:
-    """Iterated Segre product of several projective points (left fold)."""
-    it = iter(points)
-    try:
-        acc = next(it)
-    except StopIteration:
-        raise ValueError("segre_fold needs at least one point") from None
-    for p in it:
-        acc = segre_product(acc, p)
-    return acc

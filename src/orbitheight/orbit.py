@@ -142,12 +142,6 @@ def iterate_states(phi: RationalMap, start: Sequence[Fraction], n_steps: int):
     return states, (None if len(states) == n_steps + 1 else len(states))
 
 
-def iterate_points(phi: RationalMap, start: Sequence[Fraction], n_steps: int):
-    """`iterate_states` with each state as a tuple of Fractions."""
-    states, stop_index = iterate_states(phi, start, n_steps)
-    return [tuple(Fraction(a, b) for a, b in state) for state in states], stop_index
-
-
 def iterate_orbit(
     phi: RationalMap,
     observable: RationalFunction,

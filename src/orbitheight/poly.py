@@ -1,7 +1,8 @@
 """Multivariate polynomials and rational functions over Q.
 
-Polynomials are sparse maps from exponent vector to nonzero Fraction
-coefficient; that is their parse and serialization form.  Rational
+Polynomials are sparse maps from exponent vector to nonzero int
+coefficient; that is their parse and serialization form.  A rational
+constant exists only as the num/den of a rational function.  Rational
 functions are stored as num/den pairs reduced only by integer content (no
 multivariate gcd); equality is decided by cross-multiplication.
 Serialization follows graded-lexicographic term order so equal objects
@@ -14,10 +15,9 @@ integer numerator and denominator.
 
 Because denominators are never minimized, two presentations of the same
 function can have different representation-level domains: evaluation and
-map application answer for the presentation given, not for the underlying
-map, and points where numerator and denominator both vanish report as
-INDETERMINATE.  Map components that evaluate to infinity count as leaving
-the affine chart.
+map stepping answer for the presentation given, not for the underlying
+map, and points where numerator and denominator both vanish are
+indeterminate (:func:`p1_pair` returns None there).
 
 The expression grammar accepted by :func:`parse_expression`:
 
@@ -33,9 +33,9 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd, lcm
-from typing import Optional, Sequence, Union
+from math import gcd
+from operator import add
+from typing import Optional, Sequence
 
 from .errors import (
     DimensionMismatch,
@@ -44,28 +44,6 @@ from .errors import (
     UnknownVariable,
     ZeroDenominator,
 )
-from .exact import P1Value, as_pair
-
-
-class Indeterminate:
-    """Result of evaluating 0/0: membership in the indeterminacy locus.
-
-    A value, not an error, so callers can tell indeterminacy apart from
-    genuine failures.  There is a single instance, `INDETERMINATE`.
-    """
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "Indeterminate"
-
-
-INDETERMINATE = Indeterminate()
 
 
 def _grlex_key(exponents: tuple[int, ...]):
@@ -208,29 +186,30 @@ class _IntForm:
 
 
 class Polynomial:
-    """Sparse polynomial over Q in a fixed ordered tuple of variables."""
+    """Sparse polynomial with int coefficients in a fixed ordered tuple of variables."""
 
     __slots__ = ("variables", "terms", "_form")
 
-    def __init__(self, variables: Sequence[str], terms: dict[tuple[int, ...], Fraction]):
+    def __init__(self, variables: Sequence[str], terms: dict[tuple[int, ...], int]):
         self.variables = tuple(variables)
         nvars = len(self.variables)
-        clean: dict[tuple[int, ...], Fraction] = {}
+        clean: dict[tuple[int, ...], int] = {}
         for exps, coeff in terms.items():
             if len(exps) != nvars:
                 raise DimensionMismatch(
                     f"exponent vector {exps} does not match {nvars} variables"
                 )
-            c = Fraction(coeff)
-            if c != 0:
-                clean[tuple(exps)] = c
+            if type(coeff) is not int:
+                raise TypeError(f"coefficient {coeff!r} is not an int")
+            if coeff:
+                clean[tuple(exps)] = coeff
         self.terms = clean
         self._form = None
 
     # --- constructors ---
 
     @classmethod
-    def constant(cls, variables: Sequence[str], value: Fraction | int) -> "Polynomial":
+    def constant(cls, variables: Sequence[str], value: int) -> "Polynomial":
         return cls(variables, {(0,) * len(tuple(variables)): value})  # 0 is dropped
 
     @classmethod
@@ -238,7 +217,7 @@ class Polynomial:
         variables = tuple(variables)
         idx = variables.index(name)
         exps = tuple(1 if i == idx else 0 for i in range(len(variables)))
-        return cls(variables, {exps: Fraction(1)})
+        return cls(variables, {exps: 1})
 
     # --- predicates ---
 
@@ -248,16 +227,16 @@ class Polynomial:
     def is_constant(self) -> bool:
         return all(sum(e) == 0 for e in self.terms)
 
-    def constant_value(self) -> Fraction:
+    def constant_value(self) -> int:
         if not self.is_constant():
             raise ValueError("polynomial is not constant")
         zero = (0,) * len(self.variables)
-        return self.terms.get(zero, Fraction(0))
+        return self.terms.get(zero, 0)
 
-    def leading_coefficient(self) -> Fraction:
+    def leading_coefficient(self) -> int:
         """Coefficient of the graded-lex leading term (0 for the zero poly)."""
         if not self.terms:
-            return Fraction(0)
+            return 0
         return self.terms[max(self.terms, key=_grlex_key)]
 
     # --- arithmetic ---
@@ -272,7 +251,7 @@ class Polynomial:
         self._check_same_vars(other)
         out = dict(self.terms)
         for exps, coeff in other.terms.items():
-            out[exps] = out.get(exps, Fraction(0)) + coeff
+            out[exps] = out.get(exps, 0) + coeff
         return Polynomial(self.variables, out)
 
     def __neg__(self) -> "Polynomial":
@@ -283,15 +262,14 @@ class Polynomial:
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         self._check_same_vars(other)
-        out: dict[tuple[int, ...], Fraction] = {}
+        out: dict[tuple[int, ...], int] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                out[e] = out.get(e, Fraction(0)) + c1 * c2
+                e = tuple(map(add, e1, e2))
+                out[e] = out.get(e, 0) + c1 * c2
         return Polynomial(self.variables, out)
 
-    def scale(self, factor: Fraction) -> "Polynomial":
-        factor = Fraction(factor)
+    def scale(self, factor: int) -> "Polynomial":
         return Polynomial(self.variables, {e: c * factor for e, c in self.terms.items()})
 
     def __pow__(self, n: int) -> "Polynomial":
@@ -302,8 +280,9 @@ class Polynomial:
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:  # squaring past the top bit of n would be thrown away
+                base = base * base
         return result
 
     def __eq__(self, other) -> bool:
@@ -323,10 +302,6 @@ class Polynomial:
         if self._form is None:
             self._form = RationalFunction.from_polynomial(self).form
         return self._form.pair_at(pairs)
-
-    def evaluate(self, point: Sequence[Fraction]) -> Fraction:
-        num, den = self.pair_at([as_pair(p) for p in point])
-        return Fraction(num, den)
 
     def substitute(self, args: Sequence["RationalFunction"]) -> "RationalFunction":
         """Plug rational functions in for the variables (symbolic evaluation)."""
@@ -404,11 +379,7 @@ class RationalFunction:
     def form(self) -> _IntForm:
         """The integer evaluator, compiled on first use."""
         if self._form is None:
-            # _content_canonical leaves integral coefficients
-            self._form = _IntForm(
-                {e: c.numerator for e, c in self.num.terms.items()},
-                {e: c.numerator for e, c in self.den.terms.items()},
-            )
+            self._form = _IntForm(self.num.terms, self.den.terms)
         return self._form
 
     def pair_at(self, pairs: Sequence[tuple[int, int]]) -> tuple[int, int]:
@@ -421,7 +392,7 @@ class RationalFunction:
         return self.num.variables
 
     @classmethod
-    def constant(cls, variables: Sequence[str], value: Fraction | int) -> "RationalFunction":
+    def constant(cls, variables: Sequence[str], value: int) -> "RationalFunction":
         return cls.from_polynomial(Polynomial.constant(variables, value))
 
     @classmethod
@@ -475,24 +446,15 @@ class RationalFunction:
 
 
 def _content_canonical(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Polynomial]:
-    coeffs = list(num.terms.values()) + list(den.terms.values())
-    common = lcm(*[c.denominator for c in coeffs])
-    g = gcd(*[c.numerator * (common // c.denominator) for c in coeffs])
-    scale = Fraction(common, g) if g else Fraction(1)
-    if den.leading_coefficient() * scale < 0:
-        scale = -scale
-    return num.scale(scale), den.scale(scale)
-
-
-def evaluate(rf: RationalFunction, point: Sequence[Fraction]) -> Union[P1Value, Indeterminate]:
-    """Value of rf at a rational point, as a point of P^1.
-
-    Returns the affine value (num : den) when the denominator is nonzero,
-    the point at infinity (1 : 0) when only the denominator vanishes, and
-    `INDETERMINATE` when both vanish.
-    """
-    coords = p1_pair(rf, [as_pair(p) for p in point])
-    return INDETERMINATE if coords is None else P1Value._trusted(coords)
+    """num and den divided by their joint content, signed so that the
+    graded-lex leading coefficient of den is positive (den is nonzero)."""
+    g = gcd(*num.terms.values(), *den.terms.values())
+    if den.leading_coefficient() < 0:
+        g = -g
+    if g == 1:
+        return num, den
+    return (Polynomial(num.variables, {e: c // g for e, c in num.terms.items()}),
+            Polynomial(den.variables, {e: c // g for e, c in den.terms.items()}))
 
 
 def p1_pair(rf: RationalFunction, pairs: Sequence[tuple[int, int]]) -> Optional[tuple[int, int]]:
@@ -532,24 +494,6 @@ class RationalMap:
 
     def __str__(self) -> str:
         return "(" + ", ".join(str(c) for c in self.components) + ")"
-
-
-def apply_map(phi: RationalMap, point: Sequence[Fraction]):
-    """One step of the map on an affine point.
-
-    Returns ("ok", values) when every component is affine there; otherwise
-    ("infinity", i) or ("indeterminate", i) for the first component i that
-    leaves the chart.  Exiting to infinity counts as leaving the chart even
-    though the orbit may continue projectively.
-    """
-    pairs = [as_pair(p) for p in point]
-    values = []
-    for i, comp in enumerate(phi.components):
-        n, d = comp.pair_at(pairs)
-        if d == 0:
-            return ("indeterminate" if n == 0 else "infinity", i)
-        values.append(Fraction(n, d))
-    return ("ok", values)
 
 
 def compose(outer: RationalMap, inner: RationalMap) -> RationalMap:
@@ -716,12 +660,13 @@ def parse_expression(text: str, variables: Sequence[str]) -> RationalFunction:
     return _Parser(text, variables).parse()
 
 
-def parse_polynomial(text: str, variables: Sequence[str]) -> Polynomial:
-    """Parse an expression that must be a polynomial over Q."""
+def parse_polynomial(text: str, variables: Sequence[str]) -> tuple[Polynomial, int]:
+    """Parse an expression that must be a polynomial over Q, as (P, d): the
+    polynomial is P/d, P has int coefficients and d is a positive int."""
     rf = parse_expression(str(text), variables)
     if not rf.den.is_constant():
         raise InvalidParameter(f"{text!r} is not a polynomial in {', '.join(variables)}")
-    return rf.num.scale(Fraction(1) / rf.den.constant_value())
+    return rf.num, rf.den.constant_value()
 
 
 def parse_map(component_texts: Sequence[str], variables: Sequence[str]) -> RationalMap:

@@ -212,6 +212,10 @@ def _without(job, key):
     ({**DFINITE_JOB, "initial": {"a": "1"}}, {"initial": {"0": "1"}}),
     ({**DFINITE_JOB, "initial": ["1"]}, {"initial": {"0": "1"}}),
     ({**DFINITE_JOB, "initial": {"0": "1/0"}}, {"initial": {"0": "1"}}),
+    # index keys that int() would merge with "0" or read as 3
+    ({**DFINITE_JOB, "initial": {"0": "1", "00": "5"}}, {"initial": {"0": "1"}}),
+    ({**DFINITE_JOB, "initial": {"0": "1", "\u0660": "7"}}, {"initial": {"0": "1"}}),
+    ({**DFINITE_JOB, "initial": {"0": "1", "\u0663": "1"}}, {"initial": {"0": "1", "3": "1"}}),
     ({**ORBIT_JOB, "map": "xy"}, {"map": ["y", "x+y"]}),
     ({**ORBIT_JOB, "map": [1, "x+y"]}, {"map": ["y", "x+y"]}),
     ({**COMMUTING_JOB, "maps": [["x+1", 2], ["x", "y+1"]]}, {"maps": COMMUTING_JOB["maps"]}),
@@ -226,13 +230,16 @@ def _without(job, key):
     ({**ORBIT_JOB, "start": ["0", "1/0"]}, {"start": ["0", "1"]}),
 ], ids=["B_list", "tail_fraction", "curve_constants", "curve_constants-nan", "epsilon",
         "epsilon-inf", "order-missing", "coeffs-missing", "order-str", "order-float", "offset-str",
-        "offset-negative",         "initial-key", "initial-list", "initial-zero-den", "map-str", "map-int",
+        "offset-negative", "initial-key", "initial-list", "initial-zero-den",
+        "initial-leading-zero", "initial-arabic-indic-zero", "initial-arabic-indic-three",
+        "map-str", "map-int",
         "maps-int", "variables-dup", "modulus-true", "modulus-str", "residues-float",
         "added-str", "T-modulus-str", "start-zero-den"])
 def test_non_numeric_field_exit_2_no_output(job, fixed, tmp_path):
     """A field of the wrong JSON type or shape exits 2 without output (true,
     NaN and Infinity are not numbers, "2" is not an integer, a string is not
-    a list); the same job with a well-formed field runs."""
+    a list, an index is written in ASCII digits without leading zeros); the
+    same job with a well-formed field runs."""
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(job))
     out_dir = tmp_path / "out"
@@ -240,6 +247,42 @@ def test_non_numeric_field_exit_2_no_output(job, fixed, tmp_path):
     assert not out_dir.exists()
     path.write_text(json.dumps({**job, **fixed}))
     assert main(["run", str(path), "--out", str(out_dir)]) == 0
+
+
+# Non-integral coefficients: the dfinite recurrence is scaled to integral
+# ones and a dml equation is replaced by its numerator; neither changes the
+# reports, which are pinned here as the Fraction-coefficient polynomials gave them.
+RATIONAL_COEFFICIENT_JOBS = {
+    "dfinite": (
+        {"kind": "dfinite", "order": 2, "coeffs": ["n/2+1", "-1/3", "1"],
+         "initial": {"0": "1", "1": "1/2"}, "N": 12},
+        "n,term,height,ratio\n0,1,0.000000,\n1,1/2,0.693147,\n2,-5/6,1.791759,2.584963\n"
+        "3,-37/36,3.610918,3.286799\n4,143/108,4.962845,3.579936\n"
+        "5,1951/648,7.576097,4.707294\n6,-5771/1944,8.660601,4.833573\n"
+        "7,-134455/11664,11.808985,6.068618\n8,281057/34992,12.546313,6.033501\n"
+        "9,11452969/209952,16.253760,7.397405\n10,-13842161/629856,16.443230,7.141204\n"
+        "11,-1161528253/3779136,20.873002,8.704718\n12,333425135/11337408,19.624929,7.897652\n",
+        {"kind": "dfinite", "N": 12, "N0": 10, "epsilon": "0.500000", "verdict": "height-growth",
+         "preperiod": None, "period": None, "verified_to": None, "tail_ratio": "8.704718"},
+    ),
+    "dml": (
+        {"kind": "dml", "variables": ["x", "y"], "map": ["y", "x"], "start": ["2", "5/3"],
+         "Y": ["x/2 - 1"], "N": 12},
+        "n,component\n" + "".join(f'{n},"progression(a=0,d=2)"\n' for n in range(0, 13, 2)),
+        {"hits": [0, 2, 4, 6, 8, 10, 12], "progressions": [{"a": 0, "d": 2}], "residual": [],
+         "residual_density": "0"},
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(RATIONAL_COEFFICIENT_JOBS))
+def test_rational_coefficient_reports(kind, tmp_path):
+    job, csv_text, payload = RATIONAL_COEFFICIENT_JOBS[kind]
+    path = tmp_path / f"{kind}.json"
+    path.write_text(json.dumps(job))
+    csv_path, json_path = run_job(path, out_dir=tmp_path / "out")
+    assert csv_path.read_text(encoding="utf-8") == csv_text
+    assert json_path.read_text(encoding="utf-8") == json.dumps(payload, indent=2) + "\n"
 
 
 def test_directory_as_job_path_exit_2_no_output(tmp_path):

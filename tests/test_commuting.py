@@ -12,8 +12,8 @@ from orbitheight.commuting import (
 )
 from orbitheight.density import EMPTY, NATURALS, EventuallyPeriodicSet, evens
 from orbitheight.errors import EmptyIntersection, InvalidParameter, NotCommuting
-from orbitheight.orbit import iterate_orbit
-from orbitheight.poly import apply_map, evaluate, parse_expression, parse_map
+from orbitheight.orbit import iterate_orbit, step
+from orbitheight.poly import p1_pair, parse_expression, parse_map
 
 XYZ = ("x", "y", "z")
 
@@ -101,12 +101,12 @@ def test_path_independence():
         # walk a random monotone lattice path to idx
         steps = [i for i, k in enumerate(idx) for _ in range(k)]
         rng.shuffle(steps)
-        point = [Fraction(1), Fraction(0), Fraction(0)]
+        state = ((1, 1), (0, 1), (0, 1))
         for i in steps:
-            status, point = apply_map(maps[i], point)
-            assert status == "ok"
-        value = evaluate(parse_expression("x", XYZ), point)
-        assert value == mtrace.entries[idx].value
+            state = step(maps[i], state)
+            assert state is not None
+        value = p1_pair(parse_expression("x", XYZ), state)
+        assert value == mtrace.entries[idx].value.coords
 
 
 def test_undefined_propagation():

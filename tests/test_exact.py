@@ -1,4 +1,5 @@
 import csv
+import functools
 import io
 import math
 import string
@@ -15,9 +16,7 @@ from orbitheight.exact import (
     height_projective,
     height_rational,
     normalize_projective,
-    p1_value,
     report_csv,
-    segre_fold,
     segre_product,
 )
 
@@ -103,8 +102,8 @@ def test_height_nonnegative(coords):
 
 
 def test_segre_fold_window_identity():
-    values = [p1_value(Fraction(3, 7), 1), p1_value(5, 2), p1_value(1, 1), P1Value((1, 0))]
-    folded = segre_fold(values)
+    values = [P1Value((3, 7)), P1Value((5, 2)), P1Value((1, 1)), P1Value((1, 0))]
+    folded = functools.reduce(segre_product, values)
     assert folded.max_abs() == 7 * 5 * 1 * 1
     assert height_projective(folded) == pytest.approx(
         sum(height_projective(v) for v in values), rel=1e-12, abs=1e-12
@@ -112,10 +111,10 @@ def test_segre_fold_window_identity():
 
 
 def test_p1_value():
-    v = p1_value(Fraction(2, 3), Fraction(1, 2))
+    v = P1Value(normalize_projective([Fraction(2, 3), Fraction(1, 2)]).coords)
     assert v.coords == (4, 3)
     assert v.as_fraction() == Fraction(4, 3)
-    inf = p1_value(5, 0)
+    inf = P1Value(normalize_projective([5, 0]).coords)
     assert inf.is_infinity
     with pytest.raises(ZeroDivisionError):
         inf.as_fraction()

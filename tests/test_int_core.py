@@ -3,10 +3,15 @@
 The oracle below works in `Fraction` arithmetic: polynomials are summed
 term by term, P^1 values are canonicalized through the validating public
 constructor, and orbits are stepped one `Fraction` point at a time.  The
-compiled integer evaluators, `apply_map`, the int-pair stepper behind
-`iterate_orbit` and `iterate_points`, and the return sets of `dml` must agree
-with it exactly, including where numerators or denominators vanish.  Orbit
-reports are checked the same way, against `csv.writer` fed from the oracle.
+compiled integer evaluators behind `pair_at` and `p1_pair`, the int-pair
+stepper `step` behind `iterate_orbit` and `iterate_states`, and the return
+sets of `dml` must agree with it exactly, including where numerators or
+denominators vanish.  Orbit reports are checked the same way, against
+`csv.writer` fed from the oracle.
+
+Polynomials hold int coefficients, so the strategies draw those, and a
+rational coefficient comes in as a separately drawn common denominator of a
+rational function's num or den.
 """
 
 import csv
@@ -31,17 +36,15 @@ from orbitheight.orbit import (
     HIT_MAP_INDETERMINACY,
     HIT_OBSERVABLE_INDETERMINACY,
     iterate_orbit,
-    iterate_points,
+    iterate_states,
     step,
     trace_to_csv,
 )
 from orbitheight.poly import (
-    INDETERMINATE,
     Polynomial,
     RationalFunction,
     RationalMap,
-    apply_map,
-    evaluate,
+    p1_pair,
     parse_expression,
 )
 
@@ -71,9 +74,10 @@ def oracle_p1(num: Fraction, den: Fraction) -> P1Value:
 
 
 def oracle_evaluate(rf: RationalFunction, point):
+    """The P^1 value of rf at a rational point, None where it is 0/0."""
     n, d = oracle_poly(rf.num, point), oracle_poly(rf.den, point)
     if n == 0 and d == 0:
-        return INDETERMINATE
+        return None
     return oracle_p1(n, d)
 
 
@@ -81,12 +85,34 @@ def oracle_apply_map(phi: RationalMap, point):
     values = []
     for i, comp in enumerate(phi.components):
         v = oracle_evaluate(comp, point)
-        if v is INDETERMINATE:
+        if v is None:
             return ("indeterminate", i)
         if v.is_infinity:
             return ("infinity", i)
         values.append(Fraction(v.coords[0], v.coords[1]))
     return ("ok", values)
+
+
+def oracle_step(phi: RationalMap, point):
+    """The next state as reduced pairs, None where phi leaves the affine chart."""
+    status, values = oracle_apply_map(phi, point)
+    return tuple(map(as_pair, values)) if status == "ok" else None
+
+
+# --- the integer core, at rational points ---
+
+def pairs_of(point):
+    return tuple(map(as_pair, point))
+
+
+def int_value(rf: RationalFunction, point):
+    """`p1_pair` at a rational point, through the validating P1Value, or None."""
+    coords = p1_pair(rf, pairs_of(point))
+    return None if coords is None else P1Value(coords)
+
+
+def poly_value(poly: Polynomial, point) -> Fraction:
+    return Fraction(*poly.pair_at(pairs_of(point)))
 
 
 def oracle_orbit(phi, observable, start, n_max):
@@ -95,7 +121,7 @@ def oracle_orbit(phi, observable, start, n_max):
     points, values = [], []
     for n in range(n_max + 1):
         value = oracle_evaluate(observable, point)
-        if value is INDETERMINATE:
+        if value is None:
             return points, values, HIT_OBSERVABLE_INDETERMINACY, n
         points.append(point)
         values.append(value)
@@ -145,13 +171,17 @@ def oracle_return_set(phi, start, equations, horizon):
 small_rationals = st.fractions(
     min_value=Fraction(-3), max_value=Fraction(3), max_denominator=4
 )
+small_ints = st.integers(-12, 12)
+# A common denominator d of num (or den) enters a quotient (num/d)/(den/e)
+# as (num*e)/(den*d), so each quotient below scales by two drawn ones.
+denominators = st.integers(1, 12)
 
 
 @st.composite
 def polynomials(draw, variables, max_degree=3, max_terms=4):
     nvars = len(variables)
     exps = st.tuples(*[st.integers(0, max_degree)] * nvars)
-    terms = draw(st.dictionaries(exps, small_rationals, max_size=max_terms))
+    terms = draw(st.dictionaries(exps, small_ints, max_size=max_terms))
     return Polynomial(variables, terms)
 
 
@@ -164,7 +194,7 @@ def monic_polynomials(draw, variables, max_degree=4):
     coeffs = draw(st.lists(st.integers(-6, 6), min_size=degree, max_size=degree))
     coeffs.append(draw(st.sampled_from((1, -1))))
     return Polynomial(variables, {
-        tuple(k if j == i else 0 for j in range(len(variables))): Fraction(c)
+        tuple(k if j == i else 0 for j in range(len(variables))): c
         for k, c in enumerate(coeffs)
     })
 
@@ -178,7 +208,7 @@ def one_variable_quotients(draw, variables, max_degree=4):
 
     def poly(coeffs):
         return Polynomial(variables, {
-            tuple(k if j == i else 0 for j in range(len(variables))): Fraction(c)
+            tuple(k if j == i else 0 for j in range(len(variables))): c
             for k, c in enumerate(coeffs)
         })
 
@@ -190,9 +220,10 @@ def one_variable_quotients(draw, variables, max_degree=4):
 
 
 def vanishing_at(poly: Polynomial, point) -> Polynomial:
-    """poly minus its value at point: a polynomial through that point."""
+    """q*poly - p for the value p/q of poly at point: a polynomial through
+    that point, poly minus its value up to the positive factor q."""
     value = oracle_poly(poly, point)
-    return poly - Polynomial.constant(poly.variables, value)
+    return poly.scale(value.denominator) - Polynomial.constant(poly.variables, value.numerator)
 
 
 @st.composite
@@ -209,8 +240,8 @@ def rational_function_and_point(draw):
         if den.is_zero():  # a constant den: vanish through x - x_0 instead
             den = vanishing_at(Polynomial.variable(variables, variables[0]), point)
     elif den.is_zero():
-        den = Polynomial.constant(variables, draw(small_rationals.map(lambda q: q or 1)))
-    return RationalFunction(num, den), point
+        den = Polynomial.constant(variables, draw(small_ints.filter(bool)))
+    return RationalFunction(num.scale(draw(denominators)), den.scale(draw(denominators))), point
 
 
 @st.composite
@@ -234,7 +265,7 @@ def maps_and_starts(draw):
         den = draw(polynomials(variables, max_degree=1, max_terms=2))
         if den.is_zero():
             den = Polynomial.constant(variables, 1)
-        comps.append(RationalFunction(num, den))
+        comps.append(RationalFunction(num.scale(draw(denominators)), den.scale(draw(denominators))))
     start = tuple(draw(st.lists(small_rationals, min_size=nvars, max_size=nvars)))
     return RationalMap(variables, tuple(comps[:-1])), comps[-1], start
 
@@ -245,11 +276,11 @@ def maps_and_starts(draw):
 def test_evaluate_matches_fraction_oracle(case):
     rf, point = case
     expected = oracle_evaluate(rf, point)
-    event("indeterminate" if expected is INDETERMINATE
+    event("indeterminate" if expected is None
           else "infinity" if expected.is_infinity else "affine")
-    assert evaluate(rf, point) == expected
-    assert rf.num.evaluate(point) == oracle_poly(rf.num, point)
-    assert rf.den.evaluate(point) == oracle_poly(rf.den, point)
+    assert int_value(rf, point) == expected
+    assert poly_value(rf.num, point) == oracle_poly(rf.num, point)
+    assert poly_value(rf.den, point) == oracle_poly(rf.den, point)
 
 
 wide_rationals = st.one_of(
@@ -269,7 +300,7 @@ def test_monic_forms_are_flagged_and_reduced(case):
     num, den = rf.pair_at([as_pair(p) for p in point])
     assert den > 0 and gcd(num, den) == 1
     assert Fraction(num, den) == oracle_poly(poly, point)
-    assert evaluate(rf, point) == oracle_evaluate(rf, point)
+    assert int_value(rf, point) == oracle_evaluate(rf, point)
 
 
 @pytest.mark.parametrize("text, variables, point", [
@@ -284,7 +315,7 @@ def test_unflagged_forms_cancel_and_match_oracle(text, variables, point):
     assert rf.form.resultant != 1
     num, den = rf.pair_at([as_pair(p) for p in point])
     assert gcd(num, den) > 1  # the gcd this form keeps is really needed
-    assert evaluate(rf, point) == oracle_evaluate(rf, point)
+    assert int_value(rf, point) == oracle_evaluate(rf, point)
     phi = RationalMap(variables, (rf,) * len(variables))
     points, values, _, _ = oracle_orbit(phi, rf, point, 1)
     trace = iterate_orbit(phi, rf, point, 1)
@@ -305,8 +336,8 @@ def test_resultant_bounds_the_gcd(case):
     expected = oracle_evaluate(rf, point)
     event("R = 0" if form.resultant == 0 else "|R| = 1" if form.resultant == 1 else "|R| > 1")
     event("den < 0" if den < 0 else "den = 0" if den == 0 else "den > 0")
-    assert evaluate(rf, point) == expected
-    if expected is INDETERMINATE:
+    assert int_value(rf, point) == expected
+    if expected is None:
         assert form.resultant == 0
         return
     g = gcd(num, den)
@@ -331,14 +362,14 @@ def test_resultant_fixed_cases(text, point, resultant, pair, reduced):
     assert rf.form.resultant == resultant
     assert rf.pair_at([(point, 1)]) == pair
     assert step(RationalMap(("x",), (rf,)), ((point, 1),)) == (reduced,)
-    assert evaluate(rf, (point,)) == P1Value(reduced) == oracle_evaluate(rf, (point,))
+    assert int_value(rf, (point,)) == P1Value(reduced) == oracle_evaluate(rf, (point,))
 
 
 @pytest.mark.parametrize("variables", [(), ("x", "y")])
 def test_constant_forms_skip_the_gcd(variables):
     rf = parse_expression("-6/4", variables)
     assert rf.form.resultant == 1
-    assert evaluate(rf, (Fraction(1, 2),) * len(variables)) == P1Value((3, -2))
+    assert int_value(rf, (Fraction(1, 2),) * len(variables)) == P1Value((3, -2))
 
 
 def test_resultant_build_cost_is_capped():
@@ -359,8 +390,9 @@ def test_resultant_build_cost_is_capped():
 
 @given(maps_and_starts())
 def test_apply_map_matches_fraction_oracle(case):
+    """One application of the map: `step` against the oracle's."""
     phi, _, start = case
-    assert apply_map(phi, start) == oracle_apply_map(phi, start)
+    assert step(phi, pairs_of(start)) == oracle_step(phi, start)
 
 
 @settings(max_examples=200)
@@ -383,7 +415,8 @@ def test_stepper_matches_fraction_oracle(case, n_max):
     assert trace.h == trace.heights() == tuple(height_projective(v) for v in values)
     assert list(trace.values()) == values
 
-    assert iterate_points(phi, start, n_max) == oracle_points(phi, start, n_max)
+    points, stop_index = oracle_points(phi, start, n_max)
+    assert iterate_states(phi, start, n_max) == ([pairs_of(p) for p in points], stop_index)
 
 
 def test_oracle_cases_cover_every_stop():
@@ -507,10 +540,10 @@ def test_generated_source_ignores_variable_names(point):
     ]
     for text in texts:
         rf = parse_expression(text, NAMES)
-        assert evaluate(rf, point) == oracle_evaluate(rf, point)
-        assert rf.num.evaluate(point) == oracle_poly(rf.num, point)
+        assert int_value(rf, point) == oracle_evaluate(rf, point)
+        assert poly_value(rf.num, point) == oracle_poly(rf.num, point)
     phi = RationalMap(NAMES, tuple(parse_expression(t, NAMES) for t in texts * 2))
-    assert apply_map(phi, point) == oracle_apply_map(phi, point)
+    assert step(phi, pairs_of(point)) == oracle_step(phi, point)
 
 
 @pytest.mark.parametrize("text, variables", [
@@ -540,7 +573,7 @@ def test_coefficient_past_the_int_str_limit():
         rf = parse_expression("x*10^5000+1", ("x",))
         point = (Fraction(1, 3),)
         assert rf.pair_at([(1, 3)]) == (10**5000 + 3, 3)
-        assert evaluate(rf, point) == oracle_evaluate(rf, point)
+        assert int_value(rf, point) == oracle_evaluate(rf, point)
     finally:
         sys.set_int_max_str_digits(old)
 
@@ -557,36 +590,37 @@ def test_forms_with_thousands_of_terms_and_factors():
     as flat chains: the 5,456 monomials of degree <= 30 in x, y, z, and a
     70-variable form whose every term has 70 factors."""
     xyz = ("x", "y", "z")
+    # the coefficients c/(1 + k % 2) over their common denominator 2
     num = Polynomial(xyz, {
-        (i, j, k): Fraction((-1) ** (i + j) * (1 + (i * 7 + j * 3 + k) % 5), 1 + k % 2)
+        (i, j, k): (-1) ** (i + j) * (1 + (i * 7 + j * 3 + k) % 5) * (2 - k % 2)
         for i in range(31) for j in range(31 - i) for k in range(31 - i - j)
     })
     assert len(num.terms) == 5456
     x, y = Polynomial.variable(xyz, "x"), Polynomial.variable(xyz, "y")
-    big = RationalFunction(num, x * x + y + Polynomial.constant(xyz, 3))
+    big = RationalFunction(num, (x * x + y + Polynomial.constant(xyz, 3)).scale(2))
     point = (Fraction(1, 3), Fraction(-2, 5), Fraction(7))
-    assert evaluate(big, point) == oracle_evaluate(big, point)
-    assert num.evaluate(point) == oracle_poly(num, point)
+    assert int_value(big, point) == oracle_evaluate(big, point)
+    assert poly_value(num, point) == oracle_poly(num, point)
     phi = RationalMap(xyz, (big, parse_expression("x + y", xyz), parse_expression("z", xyz)))
     status, values = oracle_apply_map(phi, point)
     assert status == "ok"
     assert step(phi, tuple(as_pair(c) for c in point)) == tuple(as_pair(v) for v in values)
 
     names = tuple(f"v{i}" for i in range(70))
-    terms = {(1,) * 70: Fraction(3)}
+    terms = {(1,) * 70: 3}
     for i in range(70):
-        terms[tuple(int(j == i) for j in range(70))] = Fraction(-1 if i % 2 else i + 2)
+        terms[tuple(int(j == i) for j in range(70))] = -1 if i % 2 else i + 2
     wide = RationalFunction.from_polynomial(Polynomial(names, terms))
     point = tuple(Fraction(1 + i % 4, 1 + i % 3) for i in range(70))
-    assert evaluate(wide, point) == oracle_evaluate(wide, point)
+    assert int_value(wide, point) == oracle_evaluate(wide, point)
 
 
 def test_forms_pickle_after_evaluation():
     rf = parse_expression("(3*x^2*y - y + 1)/(x + 2)", ("x", "y"))
     phi = RationalMap(("x", "y"), (rf, parse_expression("y^2", ("x", "y"))))
     point = (Fraction(1, 3), Fraction(-2))
-    expected = (evaluate(rf, point), rf.num.evaluate(point), apply_map(phi, point))
+    expected = (int_value(rf, point), poly_value(rf.num, point), step(phi, pairs_of(point)))
     copy = pickle.loads(pickle.dumps((rf, phi)))
-    assert (evaluate(copy[0], point), copy[0].num.evaluate(point),
-            apply_map(copy[1], point)) == expected
+    assert (int_value(copy[0], point), poly_value(copy[0].num, point),
+            step(copy[1], pairs_of(point))) == expected
     assert copy[0].form.resultant == rf.form.resultant

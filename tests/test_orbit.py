@@ -1,3 +1,4 @@
+import functools
 import math
 from fractions import Fraction
 
@@ -9,7 +10,7 @@ from orbitheight.errors import (
     HorizonTooShort,
     InvalidParameter,
 )
-from orbitheight.exact import height_projective, segre_fold
+from orbitheight.exact import height_projective, segre_product
 from orbitheight.orbit import (
     COMPLETED,
     HIT_MAP_INDETERMINACY,
@@ -156,7 +157,7 @@ def test_window_height_identity():
     trace = _affine_trace(2, 20, "2*x")
     for i in range(5):
         window = [trace.rows[i + t].value for t in range(4)]
-        folded = segre_fold(window)
+        folded = functools.reduce(segre_product, window)  # the iterated Segre product
         assert height_projective(folded) == pytest.approx(
             sum(trace.rows[i + t].height for t in range(4)), rel=1e-12, abs=1e-12
         )

@@ -1,7 +1,9 @@
+import math
+import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 from orbitheight.errors import (
     DimensionMismatch,
@@ -9,13 +11,14 @@ from orbitheight.errors import (
     UnknownVariable,
     ZeroDenominator,
 )
+from orbitheight.exact import as_pair
+from orbitheight.orbit import step
 from orbitheight.poly import (
-    INDETERMINATE,
     Polynomial,
     RationalFunction,
-    apply_map,
+    RationalMap,
     compose,
-    evaluate,
+    p1_pair,
     parse_expression,
     parse_map,
     rf_equal,
@@ -84,16 +87,9 @@ def test_parse_serialize_roundtrip():
 
 def test_evaluate_examples():
     rf = parse_expression("x/y", ("x", "y"))
-    assert evaluate(rf, [Fraction(3), Fraction(2)]).coords == (3, 2)
-    assert evaluate(rf, [Fraction(3), Fraction(0)]).coords == (1, 0)
-    assert evaluate(rf, [Fraction(0), Fraction(0)]) is INDETERMINATE
-
-
-def test_indeterminate_is_singleton():
-    from orbitheight.poly import Indeterminate
-
-    assert Indeterminate() is INDETERMINATE
-    assert repr(INDETERMINATE) == "Indeterminate"
+    assert p1_pair(rf, [(3, 1), (2, 1)]) == (3, 2)
+    assert p1_pair(rf, [(3, 1), (0, 1)]) == (1, 0)
+    assert p1_pair(rf, [(0, 1), (0, 1)]) is None
 
 
 def test_compose_examples():
@@ -145,6 +141,8 @@ def test_content_canonicalization():
 small_fracs = st.fractions(
     min_value=Fraction(-50), max_value=Fraction(50), max_denominator=20
 )
+small_ints = st.integers(-1000, 1000)
+denominators = st.integers(1, 20)
 
 
 def _poly_from_coeffs(coeffs):
@@ -154,18 +152,30 @@ def _poly_from_coeffs(coeffs):
     return Polynomial(("x", "y"), terms)
 
 
+def _value(p, point) -> Fraction:
+    """A polynomial's or a quotient's value at a rational point, through pair_at."""
+    return Fraction(*p.pair_at([as_pair(c) for c in point]))
+
+
 @given(
-    st.lists(small_fracs, min_size=1, max_size=5),
-    st.lists(small_fracs, min_size=1, max_size=5),
+    st.tuples(st.lists(small_ints, min_size=1, max_size=5), denominators),
+    st.tuples(st.lists(small_ints, min_size=1, max_size=5), denominators),
     st.tuples(small_fracs, small_fracs),
 )
-def test_poly_arithmetic_exact(ca, cb, point):
-    a = _poly_from_coeffs(ca)
-    b = _poly_from_coeffs(cb)
-    pt = list(point)
-    assert (a + b).evaluate(pt) == a.evaluate(pt) + b.evaluate(pt)
-    assert (a * b).evaluate(pt) == a.evaluate(pt) * b.evaluate(pt)
-    assert (a - b).evaluate(pt) == a.evaluate(pt) - b.evaluate(pt)
+def test_poly_arithmetic_exact(ca, cb, pt):
+    """Evaluation is a ring homomorphism: on int polynomials A and B, and on
+    the rational polynomials A/d and B/e as quotients."""
+    a, b = _poly_from_coeffs(ca[0]), _poly_from_coeffs(cb[0])
+    assert _value(a + b, pt) == _value(a, pt) + _value(b, pt)
+    assert _value(a * b, pt) == _value(a, pt) * _value(b, pt)
+    assert _value(a - b, pt) == _value(a, pt) - _value(b, pt)
+    ra = RationalFunction(a, Polynomial.constant(a.variables, ca[1]))
+    rb = RationalFunction(b, Polynomial.constant(b.variables, cb[1]))
+    va, vb = _value(a, pt) / ca[1], _value(b, pt) / cb[1]
+    assert _value(ra, pt) == va
+    assert _value(ra + rb, pt) == va + vb
+    assert _value(ra * rb, pt) == va * vb
+    assert _value(ra - rb, pt) == va - vb
 
 
 @given(st.tuples(small_fracs, small_fracs))
@@ -173,13 +183,13 @@ def test_evaluation_composition_coherence(point):
     phi = parse_map(["x + y", "x*y + 1"], ("x", "y"))
     psi = parse_map(["2*x - y", "y + 3"], ("x", "y"))
     comp = compose(phi, psi)
-    pt = list(point)
-    inner_out = apply_map(psi, pt)
-    assert inner_out[0] == "ok"  # polynomial maps are everywhere defined
-    direct = apply_map(phi, inner_out[1])
-    composed = apply_map(comp, pt)
-    assert composed[0] == "ok" and direct[0] == "ok"
-    assert composed[1] == direct[1]
+    state = tuple(as_pair(c) for c in point)
+    inner = step(psi, state)
+    assert inner is not None  # polynomial maps are everywhere defined
+    direct = step(phi, inner)
+    composed = step(comp, state)
+    assert composed is not None and direct is not None
+    assert composed == direct
 
 
 def test_rf_equal_equivalence_properties():
@@ -198,3 +208,228 @@ def test_rf_equal_equivalence_properties():
 def test_grlex_serialization_order():
     p = parse_expression("1 + x + y^2 + x*y + x^3", ("x", "y")).num
     assert str(p) == "x^3 + x*y + y^2 + x + 1"
+
+
+def test_coefficients_are_ints():
+    for coeff in (Fraction(1, 2), Fraction(2), 2.0, True):
+        with pytest.raises(TypeError):
+            Polynomial(("x",), {(1,): coeff})
+    rf = parse_expression("x/2 - 3/4", ("x",))
+    assert (rf.num.terms, rf.den.terms) == ({(1,): 2, (0,): -3}, {(0,): 4})
+    assert all(type(c) is int for c in [*rf.num.terms.values(), *rf.den.terms.values()])
+
+
+def test_large_power_parses_fast():
+    t0 = time.perf_counter()
+    rf = parse_expression("(x+y+1)^80", ("x", "y"))
+    assert time.perf_counter() - t0 < 2.0
+    assert len(rf.num.terms) == 3321
+    assert rf.num.terms[(40, 40)] == math.comb(80, 40)
+    assert rf.num.terms[(20, 30)] == math.factorial(80) // (
+        math.factorial(20) * math.factorial(30) * math.factorial(30))
+
+
+# --- a Fraction-coefficient reference for the int arithmetic ---
+#
+# Polynomials are {exponents: Fraction} dicts and rational functions are
+# (num, den) pairs of them, canonicalized by scaling with lcm(denominators)
+# / gcd(numerators) and a sign.  Every operation mirrors the one the parser,
+# `compose` and `rf_equal` apply, so the canonical pairs must agree exactly.
+
+def ref_add(p: dict, q: dict) -> dict:
+    out = dict(p)
+    for e, c in q.items():
+        out[e] = out.get(e, Fraction(0)) + c
+    return {e: c for e, c in out.items() if c != 0}
+
+
+def ref_mul(p: dict, q: dict) -> dict:
+    out = {}
+    for e1, c1 in p.items():
+        for e2, c2 in q.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            out[e] = out.get(e, Fraction(0)) + c1 * c2
+    return {e: c for e, c in out.items() if c != 0}
+
+
+def _grlex(e):
+    return (sum(e), e)
+
+
+def ref_canonical(num: dict, den: dict) -> tuple[dict, dict]:
+    if not den:
+        raise ZeroDenominator("reference: zero denominator")
+    coeffs = [*num.values(), *den.values()]
+    common = math.lcm(*[c.denominator for c in coeffs])
+    scale = Fraction(common, math.gcd(*[c.numerator * (common // c.denominator) for c in coeffs]))
+    if den[max(den, key=_grlex)] * scale < 0:
+        scale = -scale
+    return {e: c * scale for e, c in num.items()}, {e: c * scale for e, c in den.items()}
+
+
+def ref_const(c, nvars: int) -> tuple[dict, dict]:
+    zero = (0,) * nvars
+    return ref_canonical({zero: Fraction(c)} if c else {}, {zero: Fraction(1)})
+
+
+def ref_pow(p: dict, k: int, nvars: int) -> dict:
+    out = {(0,) * nvars: Fraction(1)}
+    for _ in range(k):
+        out = ref_mul(out, p)
+    return out
+
+
+def ref_op(op: str, a, b, nvars: int):
+    (an, ad), (bn, bd) = a, b
+    if op == "+":
+        return ref_canonical(ref_add(ref_mul(an, bd), ref_mul(bn, ad)), ref_mul(ad, bd))
+    if op == "-":
+        return ref_op("+", a, ref_canonical({e: -c for e, c in bn.items()}, bd), nvars)
+    if op == "*":
+        return ref_canonical(ref_mul(an, bn), ref_mul(ad, bd))
+    if not bn:
+        raise ZeroDenominator("reference: division by zero")
+    return ref_canonical(ref_mul(an, bd), ref_mul(ad, bn))
+
+
+def ref_eval(tree, variables):
+    """The reference rational function of an expression tree."""
+    nvars = len(variables)
+    kind = tree[0]
+    if kind == "int":
+        return ref_const(tree[1], nvars)
+    if kind == "var":
+        e = tuple(int(v == tree[1]) for v in variables)
+        return ref_canonical({e: Fraction(1)}, {(0,) * nvars: Fraction(1)})
+    if kind == "neg":
+        n, d = ref_eval(tree[1], variables)
+        return ref_canonical({e: -c for e, c in n.items()}, d)
+    if kind == "^":
+        n, d = ref_eval(tree[1], variables)
+        return ref_canonical(ref_pow(n, tree[2], nvars), ref_pow(d, tree[2], nvars))
+    return ref_op(kind, ref_eval(tree[1], variables), ref_eval(tree[2], variables), nvars)
+
+
+def ref_compose(outer, inner, nvars: int):
+    """Each outer component with the inner components substituted, term by term."""
+    def substitute(p):
+        total = ref_const(0, nvars)
+        for e, c in p.items():
+            part = ref_const(c, nvars)
+            for arg, k in zip(inner, e):
+                if k:
+                    part = ref_op("*", part, ref_canonical(ref_pow(arg[0], k, nvars),
+                                                           ref_pow(arg[1], k, nvars)), nvars)
+            total = ref_op("+", total, part, nvars)
+        return total
+
+    return [ref_op("/", substitute(n), substitute(d), nvars) for n, d in outer]
+
+
+def ref_str(rf, variables) -> str:
+    def poly(p):
+        out = []
+        for e in sorted(p, key=_grlex, reverse=True):
+            c = p[e]
+            factors = [v if k == 1 else f"{v}^{k}" for v, k in zip(variables, e) if k]
+            body = "*".join(([str(abs(c))] if abs(c) != 1 or not factors else []) + factors)
+            out.append(("-" if c < 0 else "") + body if not out else f"{'-' if c < 0 else '+'} {body}")
+        return " ".join(out) or "0"
+
+    num, den = rf
+    return poly(num) if den == {(0,) * len(variables): 1} else f"({poly(num)})/({poly(den)})"
+
+
+def tree_text(tree) -> str:
+    kind = tree[0]
+    if kind in ("int", "var"):
+        return str(tree[1])
+    if kind == "neg":
+        return f"-({tree_text(tree[1])})"
+    if kind == "^":
+        return f"({tree_text(tree[1])})^{tree[2]}"
+    return f"({tree_text(tree[1])}){kind}({tree_text(tree[2])})"
+
+
+def degree_bound(tree) -> int:
+    kind = tree[0]
+    if kind in ("int", "var"):
+        return int(kind == "var")
+    if kind == "neg":
+        return degree_bound(tree[1])
+    if kind == "^":
+        return tree[2] * degree_bound(tree[1])
+    return degree_bound(tree[1]) + degree_bound(tree[2])
+
+
+XY = ("x", "y")
+
+
+def trees(max_degree: int):
+    """Expression trees with a binary operator at the root."""
+    leaves = st.one_of(st.tuples(st.just("var"), st.sampled_from(XY)),
+                       st.tuples(st.just("int"), st.integers(0, 12)))
+    inner = st.recursive(leaves, lambda inner: st.one_of(
+        st.tuples(st.sampled_from("+-*/"), inner, inner),
+        st.tuples(st.just("neg"), inner),
+        st.tuples(st.just("^"), inner, st.integers(0, 3)),
+    ), max_leaves=6)
+    return st.tuples(st.sampled_from("+-*/"), inner, inner).filter(
+        lambda t: degree_bound(t) <= max_degree)
+
+
+def parse_or_raise(tree):
+    """(parsed, reference) of a tree, or None after checking both raise
+    ZeroDenominator on a division by an identically zero expression."""
+    try:
+        expected = ref_eval(tree, XY)
+    except ZeroDenominator:
+        with pytest.raises(ZeroDenominator):
+            parse_expression(tree_text(tree), XY)
+        event("division by zero")
+        return None
+    return parse_expression(tree_text(tree), XY), expected
+
+
+@settings(deadline=None)
+@given(trees(max_degree=16))
+def test_parse_matches_fraction_reference(tree):
+    parsed = parse_or_raise(tree)
+    if parsed is not None:
+        rf, expected = parsed
+        event("constant den" if len(expected[1]) == 1 and (0, 0) in expected[1]
+              else "nonconstant den")
+        assert (rf.num.terms, rf.den.terms) == expected
+        assert all(type(c) is int for c in [*rf.num.terms.values(), *rf.den.terms.values()])
+        assert str(rf) == ref_str(expected, XY)
+
+
+@settings(deadline=None)
+@given(st.lists(trees(max_degree=3), min_size=4, max_size=4))
+def test_compose_matches_fraction_reference(components):
+    parsed = [parse_or_raise(t) for t in components]
+    if None in parsed:
+        return
+    outer = RationalMap(XY, (parsed[0][0], parsed[1][0]))
+    inner = RationalMap(XY, (parsed[2][0], parsed[3][0]))
+    try:
+        expected = ref_compose([p[1] for p in parsed[:2]], [p[1] for p in parsed[2:]], 2)
+    except ZeroDenominator:
+        with pytest.raises(ZeroDenominator):
+            compose(outer, inner)
+        return
+    got = compose(outer, inner).components
+    assert [(c.num.terms, c.den.terms) for c in got] == expected
+    assert [str(c) for c in got] == [ref_str(e, XY) for e in expected]
+
+
+@settings(deadline=None)
+@given(trees(max_degree=6), trees(max_degree=6), st.data())
+def test_rf_equal_matches_fraction_reference(a, c, data):
+    b = data.draw(st.sampled_from([c, ("/", ("*", a, c), c), ("-", ("+", a, c), c)]))
+    pa, pb = parse_or_raise(a), parse_or_raise(b)
+    if pa is not None and pb is not None:
+        (ra, (an, ad)), (rb, (bn, bd)) = pa, pb
+        expected = ref_mul(an, bd) == ref_mul(bn, ad)
+        event(f"equal: {expected}")
+        assert rf_equal(ra, rb) == expected
