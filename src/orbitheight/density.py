@@ -150,20 +150,25 @@ def density(s: EventuallyPeriodicSet) -> Fraction:
     return Fraction(len(s.residues), s.modulus)
 
 
-def _with_prefix(m: int, residues: Iterable[int], bound: int, member) -> EventuallyPeriodicSet:
-    """Residues R mod m, with membership of each n < bound given by member(n);
-    the constructor drops every exception that agrees with R."""
+def _with_exceptions(m: int, residues: Iterable[int], candidates: Iterable[int],
+                     member) -> EventuallyPeriodicSet:
+    """Residues R mod m, with membership of each candidate n given by
+    member(n), where every n >= 0 that is not a candidate follows R; the
+    constructor drops every exception that agrees with R."""
     added, removed = [], []
-    for n in range(bound):
+    for n in candidates:
         (added if member(n) else removed).append(n)
     return EventuallyPeriodicSet(m, residues, added, removed)
 
 
 def _combine(a: EventuallyPeriodicSet, b: EventuallyPeriodicSet, keep) -> EventuallyPeriodicSet:
     m = lcm(a.modulus, b.modulus)
-    residues = [r for r in range(m) if keep(r % a.modulus in a.residues, r % b.modulus in b.residues)]
-    bound = max(a.stabilization_bound, b.stabilization_bound)
-    return _with_prefix(m, residues, bound, lambda n: keep(n in a, n in b))
+    # keep(False, False) is False for union and intersection, so each residue
+    # of the result is a listed residue of a or of b lifted to the lcm
+    lifted = {r + k * s.modulus for s in (a, b) for r in s.residues for k in range(m // s.modulus)}
+    residues = [r for r in lifted if keep(r % a.modulus in a.residues, r % b.modulus in b.residues)]
+    exceptions = a.added | a.removed | b.added | b.removed
+    return _with_exceptions(m, residues, exceptions, lambda n: keep(n in a, n in b))
 
 
 def union(a: EventuallyPeriodicSet, b: EventuallyPeriodicSet) -> EventuallyPeriodicSet:
@@ -176,8 +181,9 @@ def intersection(a: EventuallyPeriodicSet, b: EventuallyPeriodicSet) -> Eventual
 
 def shift(s: EventuallyPeriodicSet, i: int) -> EventuallyPeriodicSet:
     """The translate {x + i : x in S}, truncated below 0 when i < 0."""
-    bound = max(0, s.stabilization_bound + i, i)
-    return _with_prefix(s.modulus, [r + i for r in s.residues], bound, lambda n: n - i in s)
+    moved = [x + i for x in s.added | s.removed if x + i >= 0]
+    return _with_exceptions(s.modulus, [r + i for r in s.residues], [*range(i), *moved],
+                            lambda n: n - i in s)
 
 
 def shift_set(s: EventuallyPeriodicSet) -> EventuallyPeriodicSet:

@@ -1,14 +1,17 @@
 """P-recursive sequences: exact expansion, growth classification, encoding.
 
 A recurrence of order r is sum_{k=0}^{r} p_k(n) * a_{n+k} = 0 with
-polynomial coefficients over Q, applied from an offset index.  Terms are
-expanded as exact rationals; indices where the trailing coefficient
-vanishes (singular indices) must have their next term supplied explicitly.
+polynomial coefficients over Q, applied from an offset index.  It is a
+rational self-map on (t, v_0, ..., v_{r-1}) whose observable projects to
+v_0, so orbit machinery applies to coefficient sequences directly.
 
-The same recurrence can be rewritten as a rational self-map on (t, v_0,
-..., v_{r-1}) whose observable projects to v_0, so orbit machinery applies
-to coefficient sequences directly; the start index is pushed past the last
-singular index so the orbit never meets the locus p_r(t) = 0.
+Terms are expanded as exact rationals by that map: each computed term is
+one :func:`orbit.step` of its last component, so the recurrence has one
+implementation.  Indices where the trailing coefficient vanishes (singular
+indices) are those where that step is undefined, and must have their next
+term supplied explicitly.  For the orbit of :func:`encode_as_dynamics`,
+the start index is pushed past the last singular index so the orbit never
+meets the locus p_r(t) = 0.
 """
 
 from __future__ import annotations
@@ -24,7 +27,8 @@ from .errors import (
     MissingInitialTerm,
     MissingSingularTerm,
 )
-from .exact import as_pair, height_pair, reduced_pair
+from .exact import as_pair, height_pair
+from .orbit import step
 from .poly import Polynomial, RationalFunction, RationalMap, parse_polynomial
 
 
@@ -49,88 +53,44 @@ class PRecurrence:
 
     def singular_indices(self) -> list[int]:
         """All n >= offset with p_r(n) = 0 (finite: integer roots of p_r)."""
+        p = self.coeffs[-1]
+        if len(p.variables) != 1:
+            raise InvalidParameter("coefficients must be univariate")
         return sorted(
-            r for r in _integer_roots(self.coeffs[-1]) if r >= self.offset
+            m for m in _root_floors(p) if m >= self.offset and p.pair_at(((m, 1),))[0] == 0
         )
 
 
-def _integer_roots(p: Polynomial) -> set[int]:
-    """Integer roots of a nonzero univariate polynomial, exactly."""
-    if len(p.variables) != 1:
-        raise InvalidParameter("coefficients must be univariate")
-    exps = {e[0] for e in p.terms}
-    if not exps:
+def _root_floors(p: Polynomial) -> set[int]:
+    """Integers holding floor(x) for each real root x of the nonzero univariate
+    p, found in time polynomial in its degree and coefficient bit size.
+
+    The roots lie inside the Cauchy bound B = 2 + max|c_i| // |c_d|.  With b
+    < b' the floors of consecutive real roots of p' (this routine on p'), p
+    is monotone on [b + 1, b'], so bisection on its sign finds its one root
+    there; any other root lies in some [b, b + 1).
+    """
+    d = max(e for e, in p.terms)
+    if d == 0:
         return set()
-    roots: set[int] = set()
-    low = min(exps)
-    if low > 0:
-        roots.add(0)
-    # divide out n^low, then integer roots divide the constant term
-    for d in _divisors(abs(p.terms[(low,)])):
-        for cand in (d, -d):
-            if p.pair_at(((cand, 1),))[0] == 0:
-                roots.add(cand)
-    return roots
+    top = abs(p.terms[(d,)])
+    bound = 2 + max([abs(c) for (e,), c in p.terms.items() if e < d], default=0) // top
+    derivative = Polynomial(p.variables, {(e - 1,): e * c for (e,), c in p.terms.items() if e})
+    breaks = sorted(b for b in _root_floors(derivative) if -bound <= b <= bound)
+    floors = set(breaks)
+    for a, b in zip([-bound] + [x + 1 for x in breaks], breaks + [bound]):
+        sign = p.pair_at(((a, 1),))[0]
+        if a <= b and sign * p.pair_at(((b, 1),))[0] <= 0:  # a root in [a, b]
+            while b - a > 1 and sign:
+                mid = (a + b) // 2
+                a, b = (mid, b) if sign * p.pair_at(((mid, 1),))[0] > 0 else (a, mid)
+            floors.add(b if sign and p.pair_at(((b, 1),))[0] == 0 else a)
+    return floors
 
 
-def _divisors(n: int) -> list[int]:
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return out
-
-
-def expand_terms(rec: PRecurrence, n_max: int) -> list[Fraction]:
-    """Exact terms a_0..a_n_max.
-
-    Terms below offset + order come from initial data; from there each term
-    is -(sum_{k<r} p_k(n) a_{n+k}) / p_r(n), except at singular indices
-    where the stored replacement term is used.
-    """
-    r = rec.order
-    terms: list[tuple[int, int]] = []  # reduced (numerator, denominator > 0)
-    for n in range(min(rec.offset + r, n_max + 1)):
-        if n not in rec.initial_terms:
-            raise MissingInitialTerm(n)
-        terms.append(as_pair(rec.initial_terms[n]))
-    for n in range(rec.offset, n_max + 1 - r):
-        at_n = ((n, 1),)
-        lead_num, lead_den = rec.coeffs[r].pair_at(at_n)
-        if lead_num == 0:
-            if n + r not in rec.initial_terms:
-                raise MissingSingularTerm(n)
-            terms.append(as_pair(rec.initial_terms[n + r]))
-            continue
-        # acc = sum_k p_k(n) a_{n+k} over one common denominator, unreduced
-        acc_num, acc_den = 0, 1
-        for k in range(r):
-            c_num, c_den = rec.coeffs[k].pair_at(at_n)
-            u, v = terms[n + k]
-            den = c_den * v
-            if den == acc_den:
-                acc_num += c_num * u
-            else:
-                acc_num = acc_num * den + c_num * u * acc_den
-                acc_den *= den
-        terms.append(reduced_pair(-acc_num * lead_den, acc_den * lead_num))
-    return [Fraction(u, v) for u, v in terms[: n_max + 1]]
-
-
-def encode_as_dynamics(
-    rec: PRecurrence,
-) -> tuple[RationalMap, RationalFunction, tuple[Fraction, ...], int]:
-    """Rewrite the recurrence as (map, observable, start, valid_from).
-
-    The state (t, v_0, ..., v_{r-1}) models (n, a_n, ..., a_{n+r-1}); the
-    map advances it one index, the observable projects to v_0, and the
-    start point sits at valid_from = 1 + max singular index (offset when
-    there are none), so observed values are a_{valid_from + n}.
-    """
+def _recurrence_map(rec: PRecurrence) -> RationalMap:
+    """The map (t, v_0, ..., v_{r-1}) -> (t + 1, v_1, ..., v_{r-1},
+    -(sum_k p_k(t) v_k) / p_r(t)), which advances the recurrence one index."""
     r = rec.order
     variables = ("t",) + tuple(f"v{k}" for k in range(r))
     coeffs = [p.rename_variables(("t",)) for p in rec.coeffs]
@@ -151,13 +111,51 @@ def encode_as_dynamics(
     for k in range(r):
         acc = acc + lift(coeffs[k]) * Polynomial.variable(variables, f"v{k}")
     comps.append(RationalFunction(-acc, lift(coeffs[r])))
-    phi = RationalMap(variables, tuple(comps))
-    observable = RationalFunction.from_polynomial(Polynomial.variable(variables, "v0"))
+    return RationalMap(variables, tuple(comps))
 
+
+def expand_terms(rec: PRecurrence, n_max: int) -> list[Fraction]:
+    """Exact terms a_0..a_n_max.
+
+    Terms below offset + order come from initial data; from there each term
+    a_{n+r} is one orbit step of the last component of the recurrence map at
+    (n, a_n, ..., a_{n+r-1}), except at singular indices, where that step is
+    undefined (p_r(n) = 0) and the stored replacement term is used.
+    """
+    r = rec.order
+    terms: list[tuple[int, int]] = []  # reduced (numerator, denominator > 0)
+    for n in range(min(rec.offset + r, n_max + 1)):
+        if n not in rec.initial_terms:
+            raise MissingInitialTerm(n)
+        terms.append(as_pair(rec.initial_terms[n]))
+    phi = _recurrence_map(rec)
+    next_term = RationalMap(phi.variables, phi.components[-1:])
+    for n in range(rec.offset, n_max + 1 - r):
+        value = step(next_term, ((n, 1), *terms[n : n + r]))
+        if value is None:
+            if n + r not in rec.initial_terms:
+                raise MissingSingularTerm(n)
+            value = (as_pair(rec.initial_terms[n + r]),)
+        terms += value
+    return [Fraction(u, v) for u, v in terms[: n_max + 1]]
+
+
+def encode_as_dynamics(
+    rec: PRecurrence,
+) -> tuple[RationalMap, RationalFunction, tuple[Fraction, ...], int]:
+    """Rewrite the recurrence as (map, observable, start, valid_from).
+
+    The state (t, v_0, ..., v_{r-1}) models (n, a_n, ..., a_{n+r-1}); the
+    map advances it one index, the observable projects to v_0, and the
+    start point sits at valid_from = 1 + max singular index (offset when
+    there are none), so observed values are a_{valid_from + n}.
+    """
+    phi = _recurrence_map(rec)
+    observable = RationalFunction.from_polynomial(Polynomial.variable(phi.variables, "v0"))
     singular = rec.singular_indices()
     valid_from = (singular[-1] + 1) if singular else rec.offset
-    window = expand_terms(rec, valid_from + r - 1)
-    start = (Fraction(valid_from),) + tuple(window[valid_from : valid_from + r])
+    window = expand_terms(rec, valid_from + rec.order - 1)
+    start = (Fraction(valid_from),) + tuple(window[valid_from : valid_from + rec.order])
     return phi, observable, start, valid_from
 
 

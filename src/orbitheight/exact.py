@@ -162,14 +162,6 @@ def normalize_projective(raw: Sequence[Fraction | int]) -> PrimitiveVector:
     return PrimitiveVector._trusted(tuple(nums) if g == 1 else tuple([c // g for c in nums]))
 
 
-def reduced_pair(num: int, den: int) -> tuple[int, int]:
-    """The rational num/den (den != 0) as a reduced pair with den > 0."""
-    g = gcd(num, den)
-    if den < 0:
-        g = -g
-    return num // g, den // g
-
-
 def height_pair(p: int, q: int) -> float:
     """Height log max(|p|, |q|) of (p : q) in P^1, for coprime ints of any size."""
     return math.log(max(abs(p), abs(q)))

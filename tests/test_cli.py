@@ -1,15 +1,25 @@
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import orbitheight
 from orbitheight.cli import list_catalog, main, run_job, validate_job
 from orbitheight.errors import ValidationError
 
 GOLDEN = Path(__file__).parent / "golden"
+
+
+def child_env() -> dict:
+    """The environment with the package's source directory first on
+    PYTHONPATH, so a child interpreter imports the package under test."""
+    source = str(Path(orbitheight.__file__).resolve().parent.parent)
+    path = [source, os.environ.get("PYTHONPATH", "")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
 
 ENUMERATED_FIXTURES = [
     "example-5-2-commuting",
@@ -69,6 +79,7 @@ def test_run_cli_process_roundtrip(tmp_path):
          "--out", str(tmp_path)],
         capture_output=True,
         text=True,
+        env=child_env(),
     )
     assert result.returncode == 0
     assert (tmp_path / "density-evens.report.csv").exists()
@@ -76,7 +87,8 @@ def test_run_cli_process_roundtrip(tmp_path):
 
 def test_cli_import_does_not_load_numpy():
     code = "import sys, orbitheight.cli; print('numpy' in sys.modules)"
-    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env=child_env())
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "False"
 
@@ -87,10 +99,22 @@ def test_point_count_run_does_not_load_numpy(tmp_path):
         f"rc = main(['run', 'schanuel-p1', '--out', {str(tmp_path)!r}]); "
         "print(rc, 'numpy' in sys.modules)"
     )
-    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env=child_env())
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines()[-1] == "0 False"
     assert (tmp_path / "schanuel-p1.report.csv").exists()
+
+
+def test_gap_window_repeat_reports(tmp_path):
+    # x -> 1/(1-x) has period 3 from 2: 2, -1, 1/2, 2, ...
+    job = tmp_path / "gap-period-3.json"
+    job.write_text(json.dumps({"kind": "gap", "variables": ["x"], "map": ["1/(1-x)"],
+                               "observable": "x", "start": ["2"], "N": 20, "ell": 2}))
+    csv_path, json_path = run_job(job, out_dir=tmp_path / "out")
+    assert csv_path.read_text().splitlines()[-1] == "window_repeat,i=0;j=3;verified_to=17"
+    assert json.loads(json_path.read_text())["window_repeat"] == {
+        "i": 0, "j": 3, "period": 3, "verified_to": 17}
 
 
 def test_validate_catalog_jobs():

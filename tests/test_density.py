@@ -159,6 +159,26 @@ def test_set_operations_match_classifying_reference(a, b, i):
     assert shift(a, i).to_json() == shift_by_classes(a, i).to_json()
 
 
+def test_set_operations_cost_what_their_exceptions_list():
+    # one exception at 10^7 + 1: the set algebra classifies it, not every n below it
+    t0 = perf_counter()
+    odds = shift(EventuallyPeriodicSet(2, [0], added=[10**7 + 1]), 1)
+    assert odds == EventuallyPeriodicSet(2, [1], added=[10**7 + 2])
+    assert union(odds, EventuallyPeriodicSet(3, [1])) == EventuallyPeriodicSet(
+        6, [1, 3, 4, 5], added=[10**7 + 2])
+    assert perf_counter() - t0 < 0.5
+
+
+def test_set_operations_cost_what_their_residues_list():
+    # moduli 3000 and 3001: the residues come from the 6,001 listed ones
+    # lifted to the lcm 9,003,000, not from a walk of all of them
+    t0 = perf_counter()
+    both = union(multiples_of(3000), multiples_of(3001))
+    assert perf_counter() - t0 < 0.5
+    assert both.modulus == 9003000 and len(both.residues) == 6000
+    assert intersection(multiples_of(3000), multiples_of(3001)) == multiples_of(9003000)
+
+
 def test_set_algebra_examples():
     t3 = multiples_of(3)
     assert intersection(t3, shift(t3, 1)).is_empty()

@@ -1,13 +1,16 @@
 import math
 from fractions import Fraction
+from time import perf_counter
 
 import pytest
+from hypothesis import given, strategies as st
 
 from orbitheight.dfinite import (
     EVENTUALLY_PERIODIC,
     HEIGHT_GROWTH,
     UNDECIDED,
     PRecurrence,
+    _root_floors,
     classify_height_growth,
     encode_as_dynamics,
     expand_terms,
@@ -113,6 +116,125 @@ def test_singular_expansion():
     assert terms[:4] == [1, Fraction(-1, 3), Fraction(1, 3), -1]
     assert terms[4] == 7  # supplied across the singular index
     assert terms[5] == 35 and terms[6] == 105
+
+
+def divisor_roots(p: Polynomial) -> set[int]:
+    """Reference: integer roots of p among the divisors of its lowest
+    nonzero coefficient (0 when n divides p), by trial division."""
+    low = min(e for e, in p.terms)
+    c0 = abs(p.terms[(low,)])
+    divisors = [d for d in range(1, math.isqrt(c0) + 1) if c0 % d == 0]
+    candidates = {s * d for d in divisors + [c0 // d for d in divisors] for s in (1, -1)}
+    return {m for m in candidates | ({0} if low else set()) if p.pair_at(((m, 1),))[0] == 0}
+
+
+N_POLY = Polynomial.variable(("n",), "n")
+
+
+def n_minus(c: int) -> Polynomial:
+    return N_POLY - Polynomial.constant(("n",), c)
+
+
+def is_square(d: int) -> bool:
+    return d >= 0 and math.isqrt(d) ** 2 == d
+
+
+@st.composite
+def products_of_linear_factors(draw):
+    """c * prod (n - r_i), |r_i| <= 30, repeated roots allowed, sometimes
+    times an irreducible quadratic n^2 + b n + e, whose real roots (if any)
+    are irrational and move the breakpoints of the root search."""
+    p = Polynomial.constant(("n",), draw(st.sampled_from([1, -1, 2, -3, 7])))
+    for r in draw(st.lists(st.integers(-30, 30), max_size=6)):
+        p = p * n_minus(r)
+    if draw(st.booleans()):
+        b, e = draw(st.tuples(st.integers(-20, 20), st.integers(-20, 20)).filter(
+            lambda be: not is_square(be[0] ** 2 - 4 * be[1])))
+        p = p * (N_POLY * N_POLY + N_POLY.scale(b) + Polynomial.constant(("n",), e))
+    return p
+
+
+@given(products_of_linear_factors())
+def test_integer_roots_match_divisor_enumeration(p):
+    assert {m for m in _root_floors(p) if p.pair_at(((m, 1),))[0] == 0} == divisor_roots(p)
+
+
+def singular_indices_of(trailing: Polynomial) -> list[int]:
+    return PRecurrence(1, (Polynomial.constant(("n",), 1), trailing), {}).singular_indices()
+
+
+def test_singular_indices_of_a_large_root_are_fast():
+    t0 = perf_counter()
+    assert singular_indices_of(n_minus(10**18)) == [10**18]
+    assert perf_counter() - t0 < 0.1
+
+
+def test_singular_indices_include_root_zero():
+    assert singular_indices_of(N_POLY * n_minus(5)) == [0, 5]
+    assert PRecurrence(
+        1, (Polynomial.constant(("n",), 1), N_POLY * n_minus(5)), {}, offset=1
+    ).singular_indices() == [5]
+
+
+def poly_text(coeffs: list[Fraction]) -> str:
+    return " + ".join(f"({c.numerator}/{c.denominator})*n^{k}" for k, c in enumerate(coeffs))
+
+
+def reference_terms(coeffs, initial, offset, n_max):
+    """Terms of sum_k p_k(n) a_{n+k} = 0 in Fraction arithmetic, with the
+    p_k as lists of rational coefficients; the n with p_r(n) = 0 and no
+    supplied a_{n+r} is returned in place of the terms."""
+    r = len(coeffs) - 1
+    at = [lambda n, c=c: sum(ck * n**k for k, ck in enumerate(c)) for c in coeffs]
+    terms = [initial[n] for n in range(min(offset + r, n_max + 1))]
+    for n in range(offset, n_max + 1 - r):
+        lead = at[r](n)
+        if lead == 0:
+            if n + r not in initial:
+                return n
+            terms.append(initial[n + r])
+        else:
+            terms.append(-sum(at[k](n) * terms[n + k] for k in range(r)) / lead)
+    return terms
+
+
+rationals = st.fractions(min_value=-9, max_value=9, max_denominator=6)
+
+
+@st.composite
+def recurrence_jobs(draw):
+    """Order 1-3, offset 0-2, coefficients of degree <= 2 with rational
+    coefficients; the trailing one often has roots in the expanded range,
+    and each of its singular indices gets its term supplied or not."""
+    r, offset, n_max = draw(st.integers(1, 3)), draw(st.integers(0, 2)), draw(st.integers(0, 40))
+    coeffs = [draw(st.lists(rationals, min_size=1, max_size=3)) for _ in range(r)]
+    if draw(st.booleans()):  # c (n - s), or c (n - s)(n - s'), with s, s' in range
+        roots = draw(st.lists(st.integers(-2, 42), min_size=1, max_size=2))
+        trailing = [draw(rationals.filter(bool))]
+        for s in roots:  # multiply by (n - s)
+            trailing = [-s * a + b for a, b in zip(trailing + [0], [0] + trailing)]
+    else:
+        trailing = draw(st.lists(rationals, min_size=1, max_size=3).filter(any))
+    coeffs.append(trailing)
+    initial = {n: draw(rationals) for n in range(offset + r)}
+    for n in range(offset, n_max + 1):
+        if sum(c * n**k for k, c in enumerate(trailing)) == 0 and draw(st.booleans()):
+            initial[n + r] = draw(rationals)
+    job = {"order": r, "coeffs": [poly_text(c) for c in coeffs], "offset": offset,
+           "initial": {str(n): str(v) for n, v in initial.items()}}
+    return job, reference_terms(coeffs, initial, offset, n_max), n_max
+
+
+@given(recurrence_jobs())
+def test_expand_terms_matches_fraction_reference(case):
+    job, expected, n_max = case
+    rec = parse_recurrence_job(job)
+    if isinstance(expected, int):
+        with pytest.raises(MissingSingularTerm) as exc:
+            expand_terms(rec, n_max)
+        assert exc.value.n == expected
+    else:
+        assert expand_terms(rec, n_max) == expected
 
 
 def test_encode_catalan():
