@@ -99,20 +99,16 @@ def step(phi: RationalMap, state: State) -> Optional[State]:
     """phi applied to a state of reduced int pairs; None when some
     component is infinite or indeterminate there (leaves the affine chart).
 
-    The state must be reduced: each component's compiled form bounds the
-    gcd of its value by its resultant on that premise, so the gcd is taken
-    on small residues, or skipped, wherever that resultant is known.
+    Each coordinate is its component form's `value`, which reduces it; the
+    state must be reduced, since that method bounds the gcd by the form's
+    resultant on that premise.
     """
     out = []
     for comp in phi.components:
-        form = comp.form
-        num, den = form.pair_at(state)
-        if den == 0:
+        value = comp.form.value(state)
+        if value is None or not value[1]:
             return None
-        g = 1 if form.resultant == 1 else form.divisor(num, den)
-        if den < 0:
-            g = -g
-        out.append((num, den) if g == 1 else (num // g, den // g))
+        out.append(value)
     return tuple(out)
 
 
@@ -265,8 +261,6 @@ def gap_diagnostics(
     h = trace.h[n0:]
     logs = [math.log(n) for n in range(n0, n_last + 1)]
     ratios = [x / y for x, y in zip(h[tail_start - n0 :], logs[tail_start - n0 :])]
-    if not ratios:
-        raise EmptyTail("tail window is empty")
     span = n_last - n0 + 1
     densities = [(float(c), Fraction(sum(x <= c * y for x, y in zip(h, logs)), span))
                  for c in curve_constants]

@@ -11,7 +11,10 @@ print identically.
 Evaluation runs on integers: on first use a polynomial or rational function
 compiles itself into an :class:`_IntForm`, a generated straight-line function
 that takes a point as reduced int pairs (a_i, b_i), b_i > 0, and returns
-integer numerator and denominator.
+integer numerator and denominator.  One method, `_IntForm.value`, reduces
+that pair to lowest terms with its sign fixed; every exact value of a
+map step (:func:`orbit.step`) or an observable (:func:`p1_pair`) is made
+there.
 
 Because denominators are never minimized, two presentations of the same
 function can have different representation-level domains: evaluation and
@@ -142,8 +145,9 @@ class _IntForm:
     forms F, G of degree D = D_i that `pair_at` evaluates.  At coprime
     (a, b), gcd(F(a, b), G(a, b)) divides R, because F u + G v = R X^(2D-1)
     and F u' + G v' = R Y^(2D-1) for some forms u, v, u', v' (the resultant
-    lemma for morphisms of P^1).  So `divisor` finds the gcd of a pair from
-    its residues mod R, and callers skip it when |R| = 1.  A constant den c
+    lemma for morphisms of P^1).  So `value`, which reduces every exact value
+    the package makes, takes the gcd on residues mod R and skips it when
+    |R| = 1.  A constant den c
     gives the closed form |R| = |c f_D|^D, f_D the top coefficient of num;
     this is 1 for constant forms, whose content-canonical pairs are coprime.
     Other dens take the 2D x 2D Sylvester determinant by Bareiss
@@ -152,7 +156,7 @@ class _IntForm:
     (CPython 3.11); hence the cap `_RESULTANT_MAX_DEGREE`.  `resultant` is
     0, meaning unknown, past that degree, for forms in two or more
     variables, and when R = 0 (F and G share a root, as in the uncancelled
-    (x^2-1)/(x-1)); `divisor` then takes the full gcd.
+    (x^2-1)/(x-1)); `value` then takes the full gcd.
     """
 
     __slots__ = ("pair_at", "resultant", "_terms")
@@ -178,11 +182,18 @@ class _IntForm:
     def __reduce__(self):  # the generated function does not pickle; the terms do
         return _IntForm, self._terms
 
-    def divisor(self, num: int, den: int) -> int:
-        """gcd(num, den) of a pair that `pair_at` returned at reduced pairs;
-        callers skip the call when `resultant` is 1."""
+    def value(self, pairs: Sequence[tuple[int, int]]) -> Optional[tuple[int, int]]:
+        """The form at reduced int pairs as coprime (num, den), den > 0 or
+        (1, 0) where den vanishes; None where num and den both vanish."""
+        num, den = self.pair_at(pairs)
         r = self.resultant
-        return gcd(r, num % r, den % r) if r else gcd(num, den)
+        g = 1 if r == 1 else gcd(r, num % r, den % r) if r else gcd(num, den)
+        if den <= 0:
+            if not (num or den):
+                return None
+            if den or num < 0:
+                g = -g
+        return (num, den) if g == 1 else (num // g, den // g)
 
 
 class Polynomial:
@@ -319,11 +330,6 @@ class Polynomial:
             total = total + part
         return total
 
-    def rename_variables(self, new_variables: Sequence[str]) -> "Polynomial":
-        if len(new_variables) != len(self.variables):
-            raise DimensionMismatch("renaming must preserve the variable count")
-        return Polynomial(new_variables, dict(self.terms))
-
     # --- serialization ---
 
     def __str__(self) -> str:
@@ -459,16 +465,11 @@ def _content_canonical(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Po
 
 def p1_pair(rf: RationalFunction, pairs: Sequence[tuple[int, int]]) -> Optional[tuple[int, int]]:
     """Canonical (p, q) of rf at reduced int pairs (a_i, b_i), b_i > 0, or
-    None where rf is indeterminate.  The pairs must be reduced: the compiled
-    form bounds the gcd of its value by its resultant on that premise."""
-    form = rf.form
-    n, d = form.pair_at(pairs)
-    if n == 0 and d == 0:
-        return None
-    g = 1 if form.resultant == 1 else form.divisor(n, d)
-    if n < 0 or (n == 0 and d < 0):
-        g = -g
-    return (n, d) if g == 1 else (n // g, d // g)
+    None where rf is indeterminate: the form's `value` with the sign moved
+    to q where p < 0.  The pairs must be reduced: the compiled form bounds
+    the gcd of its value by its resultant on that premise."""
+    v = rf.form.value(pairs)
+    return v if v is None or v[0] >= 0 else (-v[0], -v[1])
 
 
 @dataclass(frozen=True)

@@ -117,6 +117,33 @@ def test_gap_window_repeat_reports(tmp_path):
         "i": 0, "j": 3, "period": 3, "verified_to": 17}
 
 
+def test_commuting_with_every_slice_undefined_exit_3(tmp_path, capsys):
+    # 1/x sends the start 0 off the chart, so no cell of norm >= 1 is defined
+    job = tmp_path / "undefined-slices.json"
+    job.write_text(json.dumps({"kind": "commuting", "variables": ["x"], "maps": [["1/x"]],
+                               "observable": "x", "start": ["0"], "N": 4, "N0": 2}))
+    out_dir = tmp_path / "out"
+    assert main(["run", str(job), "--out", str(out_dir)]) == 3
+    assert "every requested slice is undefined or filtered out" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+def test_commuting_omits_an_undefined_slice(tmp_path):
+    # the observable is 0/0 at x = 3, so the one cell of norm 3 is undefined
+    job = tmp_path / "undefined-cell.json"
+    job.write_text(json.dumps({"kind": "commuting", "variables": ["x"], "maps": [["x+1"]],
+                               "observable": "(x-3)/(x-3)", "start": ["0"], "N": 5, "N0": 2}))
+    csv_path, json_path = run_job(job, out_dir=tmp_path / "out")
+    assert csv_path.read_text().splitlines() == [
+        "n1,value,height", "0,(1:1),0.000000", "1,(1:1),0.000000", "2,(1:1),0.000000",
+        "4,(1:1),0.000000", "5,(1:1),0.000000"]
+    payload = json.loads(json_path.read_text())
+    assert (payload["entries"], payload["undefined"]) == (5, 1)
+    assert [(st["s"], st["M_s"], st["argmax"]) for st in payload["slices"]] == [
+        (2, "0.000000", [2]), (4, "0.000000", [4]), (5, "0.000000", [5])]
+    assert (payload["sup_ratio"], payload["sup_at"]) == ("0.000000", 2)
+
+
 def test_validate_catalog_jobs():
     for name in list_catalog():
         validate_job(name)  # must not raise

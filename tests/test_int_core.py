@@ -16,6 +16,7 @@ rational function's num or den.
 
 import csv
 import io
+import json
 import math
 import pickle
 import sys
@@ -27,6 +28,7 @@ from math import gcd
 import pytest
 from hypothesis import event, example, given, settings, strategies as st
 
+from orbitheight.cli import run_job
 from orbitheight.dml import Subvariety, return_set
 from orbitheight.errors import DimensionMismatch, OrbitUndefined, ValueTooLarge
 from orbitheight.exact import P1Value, as_pair, height_projective
@@ -44,6 +46,7 @@ from orbitheight.poly import (
     Polynomial,
     RationalFunction,
     RationalMap,
+    _IntForm,
     p1_pair,
     parse_expression,
 )
@@ -337,12 +340,15 @@ def test_resultant_bounds_the_gcd(case):
     event("R = 0" if form.resultant == 0 else "|R| = 1" if form.resultant == 1 else "|R| > 1")
     event("den < 0" if den < 0 else "den = 0" if den == 0 else "den > 0")
     assert int_value(rf, point) == expected
+    value = form.value(pairs)
     if expected is None:
         assert form.resultant == 0
+        assert value is None
         return
     g = gcd(num, den)
-    assert form.divisor(num, den) == g
     assert form.resultant % g == 0
+    sign = -1 if den < 0 or (den == 0 and num < 0) else 1
+    assert value == (sign * num // g, sign * den // g)
     out = step(RationalMap(variables, (rf,) * len(variables)), pairs)
     if expected.is_infinity:
         assert out is None
@@ -363,6 +369,47 @@ def test_resultant_fixed_cases(text, point, resultant, pair, reduced):
     assert rf.pair_at([(point, 1)]) == pair
     assert step(RationalMap(("x",), (rf,)), ((point, 1),)) == (reduced,)
     assert int_value(rf, (point,)) == P1Value(reduced) == oracle_evaluate(rf, (point,))
+
+
+@pytest.mark.parametrize("text, point, resultant, value", [
+    ("x/(x+1)", -2, 1, (2, 1)),  # den < 0, the gcd skipped
+    ("(x^2+1)/(x-8)", 3, 65, (-2, 1)),  # den < 0, the gcd 5 taken mod R
+    ("-1/x", 0, 1, (1, 0)),  # den = 0 with num < 0
+    ("(x-2)/x", 0, 2, (1, 0)),
+    ("(x^2-1)/(x-1)", 1, 0, None),  # 0/0 on an R = 0 form
+])
+def test_value_fixed_cases(text, point, resultant, value):
+    form = parse_expression(text, ("x",)).form
+    assert form.resultant == resultant
+    assert form.value([(point, 1)]) == value
+
+
+@pytest.mark.parametrize("job, calls", [
+    ({"kind": "orbit", "variables": ["x"], "map": ["x+1"], "observable": "x",
+      "start": ["0"], "N": 30}, 30 + 31),
+    ({"kind": "commuting", "variables": ["x"], "maps": [["x+1"], ["x+2"]],
+      "observable": "x", "start": ["0"], "N": 5}, 20 + 21),
+    ({"kind": "dfinite", "order": 1, "coeffs": ["-(n+1)", "1"], "initial": {"0": "1"},
+      "N": 40}, 40),
+    ({"kind": "gap", "variables": ["x", "y"], "map": ["y", "x+y"], "observable": "x",
+      "start": ["0", "1"], "N": 10}, 2 * 10 + 11),
+])
+def test_every_exact_value_comes_from_one_method(job, calls, tmp_path, monkeypatch):
+    """Each map step, observed value and expanded term of a job is one
+    `_IntForm.value` call, so a value made anywhere else shows here."""
+    count = 0
+    value = _IntForm.value
+
+    def counted(form, pairs):
+        nonlocal count
+        count += 1
+        return value(form, pairs)
+
+    monkeypatch.setattr(_IntForm, "value", counted)
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(job), encoding="utf-8")
+    run_job(path, out_dir=tmp_path)
+    assert count == calls
 
 
 @pytest.mark.parametrize("variables", [(), ("x", "y")])

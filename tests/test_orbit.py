@@ -9,6 +9,7 @@ from orbitheight.errors import (
     EmptyTail,
     HorizonTooShort,
     InvalidParameter,
+    ZeroDenominator,
 )
 from orbitheight.exact import height_projective, segre_product
 from orbitheight.orbit import (
@@ -23,7 +24,14 @@ from orbitheight.orbit import (
     iterate_orbit,
     trace_to_csv,
 )
-from orbitheight.poly import parse_expression, parse_map
+from orbitheight.poly import (
+    Polynomial,
+    RationalFunction,
+    RationalMap,
+    compose,
+    parse_expression,
+    parse_map,
+)
 
 X = ("x",)
 FX = parse_expression("x", X)
@@ -188,3 +196,39 @@ def test_trace_csv():
     assert lines[2] == "1,1,(1:1),0.000000,"
     assert lines[3].startswith("2,2,(2:1),0.693147,")
     assert lines[3].split(",")[4] == f"{math.log(2) / math.log(2):.6f}"
+
+
+X2 = ("x", "y")
+P, Q = parse_expression("x", X).num, parse_expression("y", X2).num
+F, G = parse_expression("x", X), parse_expression("x", X2)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: Polynomial(X, {(1, 0): 1}), DimensionMismatch, "does not match 1 variables"),
+    (lambda: P.constant_value(), ValueError, "is not constant"),
+    (lambda: P + Q, DimensionMismatch, "variable lists differ"),
+    (lambda: P ** -1, ValueError, "negative polynomial power"),
+    (lambda: P.substitute([]), DimensionMismatch, "0 substitutions for 1 variables"),
+    (lambda: RationalFunction(P, P - P), ZeroDenominator, "identically zero"),
+    (lambda: F / (F - F), ZeroDenominator, "division by the zero rational function"),
+    (lambda: F ** -1, ValueError, "negative rational-function power"),
+    (lambda: RationalMap(X2, (F,)), DimensionMismatch, "component over"),
+    (lambda: compose(parse_map(["x"], X), parse_map(["x", "y"], X2)), DimensionMismatch,
+     "share a variable list"),
+    (lambda: compose(parse_map(["x"], X2), parse_map(["x", "y"], X2)), DimensionMismatch,
+     "self-maps of equal dimension"),
+    (lambda: iterate_orbit(parse_map(["x"], X), FX, [0], -1), InvalidParameter,
+     "horizon must be nonnegative"),
+    (lambda: iterate_orbit(parse_map(["x"], X), G, [0], 1), DimensionMismatch,
+     "observable and map"),
+    (lambda: detect_window_repeat(_affine_trace(0, 3), -1), InvalidParameter,
+     "window length"),
+    (lambda: gap_diagnostics(_affine_trace(0, 3), n0=1), InvalidParameter, "n0 must be"),
+    (lambda: gap_diagnostics(_affine_trace(0, 3), tail_fraction=0), InvalidParameter,
+     "tail_fraction"),
+    (lambda: epsilon_bounds(Uniform(d=-1)), InvalidParameter, "need d >= 0"),
+    (lambda: epsilon_bounds("limsup"), InvalidParameter, "unknown mode"),
+])
+def test_guards_raise(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
