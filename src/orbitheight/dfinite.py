@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Optional, Sequence
 
 from .errors import (
@@ -61,12 +60,6 @@ class PRecurrence:
             m for m in _root_floors(p) if m >= self.offset and p.pair_at(((m, 1),))[0] == 0
         )
 
-    @cached_property  # it writes __dict__ itself, so frozen does not stop it
-    def _maps(self) -> tuple[RationalMap, RationalMap]:
-        """The recurrence map and its last component alone, built once."""
-        phi = _recurrence_map(self)
-        return phi, RationalMap(phi.variables, phi.components[-1:])
-
 
 def _root_floors(p: Polynomial) -> set[int]:
     """Integers holding floor(x) for each real root x of the nonzero univariate
@@ -100,13 +93,25 @@ def _recurrence_map(rec: PRecurrence) -> RationalMap:
     -(sum_k p_k(t) v_k) / p_r(t)), which advances the recurrence one index."""
     r = rec.order
     variables = ("t",) + tuple(f"v{k}" for k in range(r))
-    t, *v = (Polynomial.variable(variables, name) for name in variables)
-    p = [Polynomial(variables, {e + (0,) * r: c for e, c in q.terms.items()}) for q in rec.coeffs]
+    coeffs = [p.rename_variables(("t",)) for p in rec.coeffs]
+
+    def lift(p: Polynomial) -> Polynomial:
+        return Polynomial(
+            variables, {(e[0],) + (0,) * r: c for e, c in p.terms.items()}
+        )
+
+    t_poly = Polynomial.variable(variables, "t")
     one = Polynomial.constant(variables, 1)
-    acc = sum((p[k] * v[k] for k in range(r)), Polynomial.constant(variables, 0))
-    return RationalMap(variables, (RationalFunction(t + one, one),
-                                   *map(RationalFunction.from_polynomial, v[1:]),
-                                   RationalFunction(-acc, p[r])))
+    comps = [RationalFunction(t_poly + one, one)]
+    for k in range(1, r):
+        comps.append(
+            RationalFunction.from_polynomial(Polynomial.variable(variables, f"v{k}"))
+        )
+    acc = Polynomial.constant(variables, 0)
+    for k in range(r):
+        acc = acc + lift(coeffs[k]) * Polynomial.variable(variables, f"v{k}")
+    comps.append(RationalFunction(-acc, lift(coeffs[r])))
+    return RationalMap(variables, tuple(comps))
 
 
 def expand_terms(rec: PRecurrence, n_max: int) -> list[Fraction]:
@@ -123,7 +128,8 @@ def expand_terms(rec: PRecurrence, n_max: int) -> list[Fraction]:
         if n not in rec.initial_terms:
             raise MissingInitialTerm(n)
         terms.append(as_pair(rec.initial_terms[n]))
-    next_term = rec._maps[1]
+    phi = _recurrence_map(rec)
+    next_term = RationalMap(phi.variables, phi.components[-1:])
     for n in range(rec.offset, n_max + 1 - r):
         value = step(next_term, ((n, 1), *terms[n : n + r]))
         if value is None:
@@ -144,7 +150,7 @@ def encode_as_dynamics(
     start point sits at valid_from = 1 + max singular index (offset when
     there are none), so observed values are a_{valid_from + n}.
     """
-    phi = rec._maps[0]
+    phi = _recurrence_map(rec)
     observable = RationalFunction.from_polynomial(Polynomial.variable(phi.variables, "v0"))
     singular = rec.singular_indices()
     valid_from = (singular[-1] + 1) if singular else rec.offset

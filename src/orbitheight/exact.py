@@ -9,10 +9,10 @@ integers themselves, never on the logs.
 
 The exact core runs on integers: hot loops carry an affine rational as a
 reduced int pair (numerator, denominator > 0) and spend at most one gcd per
-output value, all in one method, the compiled form's `value` in
-:mod:`poly`.  Where the form knows the resultant R of its numerator and
-denominator, that gcd divides R: it is taken on residues mod R, in time
-linear in the value, and skipped when |R| = 1.
+output value, in one method, the compiled form's `value` (:mod:`poly`).
+Where it knows the resultant R of its numerator and denominator, that gcd
+divides R: it is taken on residues mod R, in time linear in the value, and
+skipped when |R| = 1.
 `fractions.Fraction` appears only at the boundary, in parsed start points
 and initial terms and in public return types; polynomial coefficients are
 ints, and a rational constant is the num/den of a rational function.

@@ -11,10 +11,8 @@ print identically.
 Evaluation runs on integers: on first use a polynomial or rational function
 compiles itself into an :class:`_IntForm`, a generated straight-line function
 that takes a point as reduced int pairs (a_i, b_i), b_i > 0, and returns
-integer numerator and denominator.  One method, `_IntForm.value`, reduces
-that pair to lowest terms with its sign fixed; every exact value of a
-map step (:func:`orbit.step`) or an observable (:func:`p1_pair`) is made
-there.
+integer numerator and denominator.  `_IntForm.value` reduces that pair and
+fixes its sign; every exact value of the package is made there.
 
 Because denominators are never minimized, two presentations of the same
 function can have different representation-level domains: evaluation and
@@ -147,9 +145,9 @@ class _IntForm:
     and F u' + G v' = R Y^(2D-1) for some forms u, v, u', v' (the resultant
     lemma for morphisms of P^1).  So `value`, which reduces every exact value
     the package makes, takes the gcd on residues mod R and skips it when
-    |R| = 1.  A constant den c
-    gives the closed form |R| = |c f_D|^D, f_D the top coefficient of num;
-    this is 1 for constant forms, whose content-canonical pairs are coprime.
+    |R| = 1.  A constant den c gives the closed form |R| = |c f_D|^D, f_D the
+    top coefficient of num; this is 1 for constant forms, whose
+    content-canonical pairs are coprime.
     Other dens take the 2D x 2D Sylvester determinant by Bareiss
     elimination, whose O(D^3) big-int steps cost 0.4 ms at D = 8, 2.5 ms at
     16, 38 ms at 32 and 0.5 s at 64 for dense two-digit coefficients
@@ -329,6 +327,11 @@ class Polynomial:
                     part = part * (arg**e)
             total = total + part
         return total
+
+    def rename_variables(self, new_variables: Sequence[str]) -> "Polynomial":
+        if len(new_variables) != len(self.variables):
+            raise DimensionMismatch("renaming must preserve the variable count")
+        return Polynomial(new_variables, dict(self.terms))
 
     # --- serialization ---
 

@@ -5,7 +5,6 @@ from time import perf_counter
 import pytest
 from hypothesis import given, strategies as st
 
-from orbitheight import dfinite
 from orbitheight.dfinite import (
     EVENTUALLY_PERIODIC,
     HEIGHT_GROWTH,
@@ -272,18 +271,6 @@ def test_encode_skips_singular_indices():
     assert trace.stop_reason == "completed"
     for k in range(61):
         assert trace.rows[k].value.as_fraction() == terms[valid_from + k]
-
-
-def test_recurrence_map_is_built_once(monkeypatch):
-    builds = []
-    build = dfinite._recurrence_map
-    monkeypatch.setattr(dfinite, "_recurrence_map", lambda rec: builds.append(rec) or build(rec))
-    rec = motzkin()
-    phi, _, start, valid_from = encode_as_dynamics(rec)
-    assert expand_terms(rec, 30)[:3] == expand_terms(rec, 2) == [1, 1, 2]
-    assert builds == [rec]
-    assert (str(phi), start, valid_from) == (
-        "(t + 1, v1, (3*t*v0 + 2*t*v1 + 3*v0 + 5*v1)/(t + 4))", (0, 1, 1), 0)
 
 
 @pytest.mark.parametrize(

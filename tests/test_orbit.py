@@ -209,6 +209,7 @@ F, G = parse_expression("x", X), parse_expression("x", X2)
     (lambda: P + Q, DimensionMismatch, "variable lists differ"),
     (lambda: P ** -1, ValueError, "negative polynomial power"),
     (lambda: P.substitute([]), DimensionMismatch, "0 substitutions for 1 variables"),
+    (lambda: P.rename_variables(X2), DimensionMismatch, "preserve the variable count"),
     (lambda: RationalFunction(P, P - P), ZeroDenominator, "identically zero"),
     (lambda: F / (F - F), ZeroDenominator, "division by the zero rational function"),
     (lambda: F ** -1, ValueError, "negative rational-function power"),
