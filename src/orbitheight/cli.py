@@ -25,7 +25,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import re
 import sys
 from fractions import Fraction
 from importlib import resources
@@ -171,17 +170,7 @@ def _build_gap(job: dict, budget: int):
 
 
 def _build_dfinite(job: dict, budget: int):
-    _int_param(job, "order", minimum=1)
-    _int_param(job, "offset", default=0, minimum=0)
-    _require(isinstance(job.get("coeffs"), list), "'coeffs' must be a list of polynomials in n")
-    initial = job.get("initial", {})
-    # canonical ASCII indices only: int() would merge "0" with "00" or an Arabic-Indic zero
-    _require(isinstance(initial, dict) and all(re.fullmatch("0|[1-9][0-9]*", k) for k in initial),
-             "'initial' must map indices n >= 0, written as decimal integers, to rationals")
-    try:  # with the fields above checked, only a term can fail to parse
-        rec = dfinite_mod.parse_recurrence_job(job)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValidationError(f"bad 'initial' term: {exc}") from exc
+    rec = dfinite_mod.parse_recurrence_job(job)
     n_max = _int_param(job, "N", default=500, minimum=3)
     epsilon = job.get("epsilon", 0.5)
     _require(_is_number(epsilon) and epsilon > 0,
@@ -214,18 +203,8 @@ def _build_dfinite(job: dict, budget: int):
     return run
 
 
-def _parse_set(data, field: str) -> EventuallyPeriodicSet:
-    _require(isinstance(data, dict), f"'{field}' must be a set object")
-    _require(_is_number(data.get("modulus"), (int,)), f"'{field}' needs an integer 'modulus'")
-    for key in ("residues", "added", "removed"):
-        items = data.get(key, [])
-        _require(isinstance(items, list) and all(_is_number(x, (int,)) for x in items),
-                 f"'{field}' {key} must be a list of integers")
-    return EventuallyPeriodicSet.from_json(data)
-
-
 def _build_density(job: dict, budget: int):
-    subset = _parse_set(job.get("set"), "set")
+    subset = EventuallyPeriodicSet.from_json(job.get("set"))
 
     def run():
         sigma = shift_set(subset)
@@ -296,8 +275,9 @@ def _build_dml(job: dict, budget: int):
 def _build_commuting(job: dict, budget: int):
     _, maps, observable, start = _parse_map_job(job, several=True)
     n_max = _int_param(job, "N", minimum=2)
+    commuting_mod.check_grid_size(len(maps), n_max)
     n0 = _int_param(job, "N0", default=2, minimum=2)
-    norms = _parse_set(job.get("T", NATURALS.to_json()), "T")
+    norms = EventuallyPeriodicSet.from_json(job["T"]) if "T" in job else NATURALS
 
     def run():
         mtrace = commuting_mod.grid_orbit(maps, observable, start, n_max)

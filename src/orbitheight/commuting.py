@@ -31,6 +31,15 @@ MAX_MAPS = 3
 MAX_NORM = 200
 
 
+def check_grid_size(num_maps: int, norm_bound: int) -> None:
+    """Raise InvalidParameter unless a grid has 1 to MAX_MAPS maps and norm
+    bound at most MAX_NORM: fixed limits (about 1.4 million entries at most)
+    that a job's build and every `grid_orbit` call check."""
+    if not 1 <= num_maps <= MAX_MAPS or norm_bound > MAX_NORM:
+        raise InvalidParameter(f"a grid takes 1 to {MAX_MAPS} maps and norm at most {MAX_NORM}, "
+                               f"not {num_maps} maps to norm {norm_bound}")
+
+
 @dataclass(frozen=True)
 class CommutationWitness:
     """Failure evidence: the offending map pair and component index."""
@@ -86,8 +95,6 @@ class MultiTrace:
     """Observable values (p, q) and heights over the ball {n in N^m : |n|_1 <= N}."""
 
     maps: tuple[RationalMap, ...]
-    observable: RationalFunction
-    start: tuple[Fraction, ...]
     norm_bound: int
     coords: dict[tuple[int, ...], tuple[int, int]]
     h: dict[tuple[int, ...], float]
@@ -117,24 +124,16 @@ def grid_orbit(
     observable: RationalFunction,
     start: Sequence[Fraction],
     norm_bound: int,
-    allow_large: bool = False,
 ) -> MultiTrace:
     """Fill the grid of observable values for all multi-indices of norm <= N.
 
     Raises NotCommuting when the symbolic check fails.  Entries whose every
     predecessor is undefined, or whose computation leaves the affine chart,
-    are recorded in undefined_at and skipped by successors.  Default limits
-    (<= 3 maps, norm <= 200) guard against accidental blowup; pass
-    allow_large=True to override.
+    are recorded in undefined_at and skipped by successors.  The grid size
+    is bounded by :func:`check_grid_size`, which has no override.
     """
     maps = tuple(maps)
-    if not maps:
-        raise InvalidParameter("need at least one map")
-    if not allow_large and (len(maps) > MAX_MAPS or norm_bound > MAX_NORM):
-        raise InvalidParameter(
-            f"grid of {len(maps)} maps to norm {norm_bound} exceeds the default "
-            f"limits ({MAX_MAPS} maps, norm {MAX_NORM}); pass allow_large=True"
-        )
+    check_grid_size(len(maps), norm_bound)
     ok, witness = check_commuting(maps)
     if not ok:
         raise NotCommuting(witness.pair, witness.component)
@@ -171,8 +170,6 @@ def grid_orbit(
     undefined.update(values.keys() - coords.keys())  # the observable is 0/0 there
     return MultiTrace(
         maps=maps,
-        observable=observable,
-        start=tuple(Fraction(c) for c in start),
         norm_bound=norm_bound,
         coords=coords,
         h={idx: height_pair(p, q) for idx, (p, q) in coords.items()},

@@ -111,12 +111,19 @@ class EventuallyPeriodicSet:
 
     @classmethod
     def from_json(cls, data: dict) -> "EventuallyPeriodicSet":
-        return cls(
-            int(data["modulus"]),
-            [int(r) for r in data.get("residues", [])],
-            [int(x) for x in data.get("added", [])],
-            [int(x) for x in data.get("removed", [])],
-        )
+        """The set of its JSON form {"modulus": m, "residues": [...], "added": [...],
+        "removed": [...]}, the one reader of it: `modulus` is required, and every
+        field holds JSON integers (not true, "2" or 0.5), else InvalidParameter."""
+        if not isinstance(data, dict):
+            raise InvalidParameter("a set must be a JSON object")
+        modulus = data.get("modulus")
+        lists = [data.get(key, []) for key in ("residues", "added", "removed")]
+        if type(modulus) is not int or not all(
+            isinstance(xs, list) and all(type(x) is int for x in xs) for xs in lists
+        ):
+            raise InvalidParameter("a set needs an integer 'modulus' and lists of "
+                                   "integers 'residues', 'added' and 'removed'")
+        return cls(modulus, *lists)
 
 
 def _least_modulus(m: int, residues: frozenset[int]) -> tuple[int, frozenset[int]]:

@@ -17,6 +17,7 @@ meets the locus p_r(t) = 0.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -249,24 +250,29 @@ def classify_height_growth(
 
 
 def parse_recurrence_job(data: dict) -> PRecurrence:
-    """Recurrence from its JSON job form.
+    """Recurrence from its JSON job form {"order": r, "coeffs": ["p0(n)", ...,
+    "pr(n)"], "initial": {"0": "1", ...}, "offset": 0}, the one reader of it.
 
-    Expected shape: {"order": r, "coeffs": ["p0(n)", ..., "pr(n)"],
-    "initial": {"0": "1", ...}, "offset": 0}; coefficient strings use the
-    expression grammar with the single variable n.  Every p_k is scaled by
-    the lcm of their denominators, which leaves the recurrence and its terms
-    as they are and its coefficients integral.
+    `order` and `offset` >= 0 are JSON integers (not true, 1.7 or "2"), and
+    `initial` maps canonical ASCII decimals (int() would merge "0" with "00"
+    or an Arabic-Indic zero) to rationals; a bad field or term raises
+    InvalidParameter.  Each p_k, an expression in n, is scaled by the lcm of
+    their denominators, which keeps the terms and makes the coefficients integral.
     """
-    order = int(data["order"])
-    parsed = [parse_polynomial(text, ("n",)) for text in data["coeffs"]]
+    order, offset = data.get("order"), data.get("offset", 0)
+    texts, initial = data.get("coeffs"), data.get("initial", {})
+    if type(order) is not int or type(offset) is not int or offset < 0:
+        raise InvalidParameter("'order' must be an integer and 'offset' an integer >= 0")
+    if not isinstance(texts, list):
+        raise InvalidParameter("'coeffs' must be a list of polynomials in n")
+    if not isinstance(initial, dict) or not all(
+            isinstance(k, str) and re.fullmatch("0|[1-9][0-9]*", k) for k in initial):
+        raise InvalidParameter("'initial' must map decimal indices n >= 0 to rationals")
+    parsed = [parse_polynomial(text, ("n",)) for text in texts]
     common = math.lcm(*[den for _, den in parsed])
     coeffs = [num.scale(common // den) for num, den in parsed]
-    initial = {
-        int(k): Fraction(str(v)) for k, v in data.get("initial", {}).items()
-    }
-    return PRecurrence(
-        order=order,
-        coeffs=tuple(coeffs),
-        initial_terms=initial,
-        offset=int(data.get("offset", 0)),
-    )
+    try:
+        initial = {int(k): Fraction(str(v)) for k, v in initial.items()}
+    except (ValueError, ZeroDivisionError) as exc:
+        raise InvalidParameter(f"bad 'initial' term: {exc}") from exc
+    return PRecurrence(order=order, coeffs=tuple(coeffs), initial_terms=initial, offset=offset)

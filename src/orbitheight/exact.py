@@ -114,10 +114,6 @@ class PrimitiveVector:
     def __str__(self) -> str:
         return "(" + ":".join(format_int(c) for c in self.coords) + ")"
 
-    @property
-    def dim(self) -> int:
-        return len(self.coords) - 1
-
     def max_abs(self) -> int:
         return max(map(abs, self.coords))
 

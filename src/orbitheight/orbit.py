@@ -68,9 +68,6 @@ class OrbitTrace:
     """Rows n as columns: the state (reduced int pairs), the canonical (p, q)
     of its value and the height h_n = log max(|p|, |q|)."""
 
-    map: RationalMap
-    observable: RationalFunction
-    start: tuple[Fraction, ...]
     states: tuple[State, ...]
     coords: tuple[tuple[int, int], ...]
     h: tuple[float, ...]
@@ -167,9 +164,6 @@ def iterate_orbit(
     if stop_index is None and len(states) <= n_max:
         stop_reason, stop_index = HIT_MAP_INDETERMINACY, len(states)
     return OrbitTrace(
-        map=phi,
-        observable=observable,
-        start=tuple(Fraction(c) for c in start),
         states=tuple(states),
         coords=tuple(coords),
         h=tuple(starmap(height_pair, coords)),

@@ -9,7 +9,9 @@ import pytest
 
 import orbitheight
 from orbitheight.cli import list_catalog, main, run_job, validate_job
-from orbitheight.errors import ValidationError
+from orbitheight.density import EventuallyPeriodicSet
+from orbitheight.dfinite import parse_recurrence_job
+from orbitheight.errors import InvalidParameter, ValidationError
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -247,7 +249,7 @@ def _without(job, key):
     return {k: v for k, v in job.items() if k != key}
 
 
-@pytest.mark.parametrize("job, fixed", [
+BAD_FIELD_CASES = [
     ({"kind": "schanuel", "n": 1, "B_list": [True]}, {"B_list": [1]}),
     ({**GAP_JOB, "tail_fraction": True}, {"tail_fraction": 1}),
     ({**GAP_JOB, "curve_constants": [True]}, {"curve_constants": [1]}),
@@ -279,25 +281,63 @@ def _without(job, key):
     ({**COMMUTING_JOB, "T": {"modulus": "2", "residues": [0]}},
      {"T": {"modulus": 2, "residues": [0]}}),
     ({**ORBIT_JOB, "start": ["0", "1/0"]}, {"start": ["0", "1"]}),
-], ids=["B_list", "tail_fraction", "curve_constants", "curve_constants-nan", "epsilon",
-        "epsilon-inf", "order-missing", "coeffs-missing", "order-str", "order-float", "offset-str",
-        "offset-negative", "initial-key", "initial-list", "initial-zero-den",
-        "initial-leading-zero", "initial-arabic-indic-zero", "initial-arabic-indic-three",
-        "map-str", "map-int",
-        "maps-int", "variables-dup", "modulus-true", "modulus-str", "residues-float",
-        "added-str", "T-modulus-str", "start-zero-den"])
+    ({**DENSITY_JOB, "set": {"modulus": 2.7, "residues": [1]}}, DENSITY_JOB),
+    ({**DENSITY_JOB, "set": {"modulus": 2, "residues": ["1"]}}, DENSITY_JOB),
+    ({**DENSITY_JOB, "set": {"modulus": 2, "residues": [True]}}, DENSITY_JOB),
+    # grids past the fixed limits of 3 maps and norm 200
+    ({**COMMUTING_JOB, "maps": COMMUTING_JOB["maps"] * 2, "N": 3},
+     {"maps": COMMUTING_JOB["maps"] + [["x+2", "y"]]}),
+    ({**COMMUTING_JOB, "N": 201}, {"N": 4}),
+]
+BAD_FIELD_IDS = [
+    "B_list", "tail_fraction", "curve_constants", "curve_constants-nan", "epsilon",
+    "epsilon-inf", "order-missing", "coeffs-missing", "order-str", "order-float", "offset-str",
+    "offset-negative", "initial-key", "initial-list", "initial-zero-den",
+    "initial-leading-zero", "initial-arabic-indic-zero", "initial-arabic-indic-three",
+    "map-str", "map-int",
+    "maps-int", "variables-dup", "modulus-true", "modulus-str", "residues-float",
+    "added-str", "T-modulus-str", "start-zero-den", "modulus-float", "residues-str",
+    "residues-true", "maps-over-limit", "norm-over-limit"]
+
+
+@pytest.mark.parametrize("job, fixed", BAD_FIELD_CASES, ids=BAD_FIELD_IDS)
 def test_non_numeric_field_exit_2_no_output(job, fixed, tmp_path):
     """A field of the wrong JSON type or shape exits 2 without output (true,
     NaN and Infinity are not numbers, "2" is not an integer, a string is not
-    a list, an index is written in ASCII digits without leading zeros); the
-    same job with a well-formed field runs."""
+    a list, an index is written in ASCII digits without leading zeros), and
+    so does a grid past the fixed limits; the same job with a well-formed
+    field runs.  `validate` gives the same exit code as `run` on both."""
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(job))
     out_dir = tmp_path / "out"
+    assert main(["validate", str(path)]) == 2
     assert main(["run", str(path), "--out", str(out_dir)]) == 2
     assert not out_dir.exists()
     path.write_text(json.dumps({**job, **fixed}))
+    assert main(["validate", str(path)]) == 0
     assert main(["run", str(path), "--out", str(out_dir)]) == 0
+
+
+# the job fields that parse_recurrence_job and EventuallyPeriodicSet.from_json read
+READER_FIELDS = {"order", "offset", "coeffs", "initial", "set", "T"}
+
+
+def _read_fields(job: dict):
+    if job["kind"] == "dfinite":
+        return parse_recurrence_job(job)
+    return EventuallyPeriodicSet.from_json(job["set" if job["kind"] == "density" else "T"])
+
+
+@pytest.mark.parametrize("job, fixed", [
+    pytest.param(*case, id=name) for case, name in zip(BAD_FIELD_CASES, BAD_FIELD_IDS)
+    if case[1].keys() & READER_FIELDS
+])
+def test_library_readers_reject_what_the_cli_rejects(job, fixed):
+    """Each bad recurrence or set field above fails in the library reader
+    itself, with the error that the CLI maps to exit 2."""
+    with pytest.raises(InvalidParameter):
+        _read_fields(job)
+    _read_fields({**job, **fixed})
 
 
 # Non-integral coefficients: the dfinite recurrence is scaled to integral

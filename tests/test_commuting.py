@@ -78,9 +78,9 @@ def test_grid_limits():
     maps = [parse_map(["x+1"], ("x",))]
     with pytest.raises(InvalidParameter):
         grid_orbit(maps, parse_expression("x", ("x",)), [Fraction(0)], 201)
-    # override works
-    mt = grid_orbit(maps, parse_expression("x", ("x",)), [Fraction(0)], 201, allow_large=True)
-    assert len(mt.entries) == 202
+    # the limit itself is allowed
+    mt = grid_orbit(maps, parse_expression("x", ("x",)), [Fraction(0)], 200)
+    assert len(mt.entries) == 201
 
 
 def test_single_map_grid_matches_orbit():

@@ -4,14 +4,24 @@ from fractions import Fraction
 
 import pytest
 
+from orbitheight.commuting import (
+    check_commuting,
+    check_grid_size,
+    grid_orbit,
+    norm_sliced_diagnostics,
+)
+from orbitheight.density import NATURALS, EventuallyPeriodicSet, evens
+from orbitheight.dfinite import PRecurrence, classify_height_growth
+from orbitheight.dml import Subvariety, return_set
 from orbitheight.errors import (
+    AllZero,
     DimensionMismatch,
     EmptyTail,
     HorizonTooShort,
     InvalidParameter,
     ZeroDenominator,
 )
-from orbitheight.exact import height_projective, segre_product
+from orbitheight.exact import P1Value, PrimitiveVector, height_projective, segre_product
 from orbitheight.orbit import (
     COMPLETED,
     HIT_MAP_INDETERMINACY,
@@ -32,6 +42,7 @@ from orbitheight.poly import (
     parse_expression,
     parse_map,
 )
+from orbitheight.schanuel import count_points, count_points_mobius
 
 X = ("x",)
 FX = parse_expression("x", X)
@@ -229,6 +240,35 @@ F, G = parse_expression("x", X), parse_expression("x", X2)
      "tail_fraction"),
     (lambda: epsilon_bounds(Uniform(d=-1)), InvalidParameter, "need d >= 0"),
     (lambda: epsilon_bounds("limsup"), InvalidParameter, "unknown mode"),
+    (lambda: check_commuting([parse_map(["x"], X), parse_map(["x", "y"], X2)]),
+     DimensionMismatch, "share one variable list"),
+    (lambda: check_grid_size(0, 5), InvalidParameter, "1 to 3 maps"),
+    (lambda: check_grid_size(4, 3), InvalidParameter, "not 4 maps to norm 3"),
+    (lambda: check_grid_size(2, 201), InvalidParameter, "not 2 maps to norm 201"),
+    (lambda: grid_orbit([], FX, [0], 2), InvalidParameter, "not 0 maps"),
+    (lambda: grid_orbit([parse_map(["x+1"], X)], G, [0, 0], 2), DimensionMismatch,
+     "observable and maps"),
+    (lambda: grid_orbit([parse_map(["x+1"], X)], FX, [0, 1], 2), DimensionMismatch,
+     "start point dimension"),
+    (lambda: norm_sliced_diagnostics(grid_orbit([parse_map(["x+1"], X)], FX, [0], 3), NATURALS,
+                                     n0=1), InvalidParameter, "so that log s > 0"),
+    (lambda: PRecurrence(order=2, coeffs=(Polynomial.constant(("n",), 1),) * 2,
+                         initial_terms={}), InvalidParameter, "expected 3 coefficient"),
+    (lambda: PRecurrence(order=1, coeffs=(Q, Q), initial_terms={}).singular_indices(),
+     InvalidParameter, "coefficients must be univariate"),
+    (lambda: classify_height_growth([1] * 20, n0=1), InvalidParameter, "n0 must be at least 2"),
+    (lambda: Subvariety(()), InvalidParameter, "at least one equation"),
+    (lambda: Subvariety((P, Q)), DimensionMismatch, "equations must share one variable list"),
+    (lambda: return_set(parse_map(["x+1", "-y"], X2), [0, 1], Subvariety((P,)), 3),
+     DimensionMismatch, "subvariety and map"),
+    (lambda: PrimitiveVector((0, 0)), AllZero, "all projective coordinates are zero"),
+    (lambda: P1Value((1, 2, 3)), ValueError, "exactly two coordinates"),
+    (lambda: count_points(1, 5, threads=0), InvalidParameter, "threads must be >= 1"),
+    (lambda: count_points_mobius(0, 1), InvalidParameter, "need n >= 1 and bound >= 1"),
+    (lambda: setattr(evens(), "modulus", 3), AttributeError, "immutable"),
+    (lambda: EventuallyPeriodicSet.from_json([2, 0]), InvalidParameter, "a JSON object"),
+    (lambda: EventuallyPeriodicSet.from_json({"modulus": 2.7, "residues": [True, "1"]}),
+     InvalidParameter, "integer 'modulus'"),
 ])
 def test_guards_raise(call, error, message):
     with pytest.raises(error, match=message):
