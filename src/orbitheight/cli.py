@@ -26,7 +26,6 @@ import argparse
 import json
 import math
 import sys
-from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
@@ -37,7 +36,7 @@ from . import orbit as orbit_mod
 from . import schanuel as schanuel_mod
 from .density import EventuallyPeriodicSet, NATURALS, density as set_density, shift_set
 from .errors import OrbitHeightError, ValidationError
-from .exact import format_ratio, height_pair, report_csv
+from .exact import format_ratio, height_pair, parse_rational, report_csv
 from .poly import parse_expression, parse_map, parse_polynomial
 
 def _require(cond: bool, message: str) -> None:
@@ -74,10 +73,7 @@ def _parse_map_job(job: dict, several: bool = False, observable: bool = True):
     start = job.get("start")
     _require(isinstance(start, list) and len(start) == len(variables),
              f"'start' must be a list of {len(variables)} rationals")
-    try:
-        start = tuple(Fraction(str(c)) for c in start)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValidationError(f"bad start coordinate: {exc}") from exc
+    start = tuple(parse_rational(str(c)) for c in start)
     return tuple(variables), maps if several else maps[0], obs, start
 
 
@@ -122,8 +118,8 @@ def _build_orbit(job: dict, budget: int):
 
 def _build_gap(job: dict, budget: int):
     _, phi, observable, start = _parse_map_job(job)
-    n_max = _int_param(job, "N", minimum=2)
     n0 = _int_param(job, "N0", default=2, minimum=2)
+    n_max = _int_param(job, "N", minimum=n0 + 1)
     tail_fraction = job.get("tail_fraction", 0.5)
     _require(_is_number(tail_fraction) and 0 < tail_fraction <= 1,
              "'tail_fraction' must lie in (0, 1]")
@@ -171,11 +167,11 @@ def _build_gap(job: dict, budget: int):
 
 def _build_dfinite(job: dict, budget: int):
     rec = dfinite_mod.parse_recurrence_job(job)
-    n_max = _int_param(job, "N", default=500, minimum=3)
+    n0 = _int_param(job, "N0", default=10, minimum=2)
+    n_max = _int_param(job, "N", default=500, minimum=n0 + 1)
     epsilon = job.get("epsilon", 0.5)
     _require(_is_number(epsilon) and epsilon > 0,
              "'epsilon' must be a positive number")
-    n0 = _int_param(job, "N0", default=10, minimum=2)
 
     def rows(terms):
         for n, t in enumerate(terms):

@@ -28,7 +28,7 @@ from .errors import (
     MissingInitialTerm,
     MissingSingularTerm,
 )
-from .exact import as_pair, height_pair
+from .exact import as_pair, height_pair, parse_rational
 from .orbit import step
 from .poly import Polynomial, RationalFunction, RationalMap, parse_polynomial
 
@@ -255,9 +255,10 @@ def parse_recurrence_job(data: dict) -> PRecurrence:
 
     `order` and `offset` >= 0 are JSON integers (not true, 1.7 or "2"), and
     `initial` maps canonical ASCII decimals (int() would merge "0" with "00"
-    or an Arabic-Indic zero) to rationals; a bad field or term raises
-    InvalidParameter.  Each p_k, an expression in n, is scaled by the lcm of
-    their denominators, which keeps the terms and makes the coefficients integral.
+    or an Arabic-Indic zero) to ASCII rationals (`exact.parse_rational`); a
+    bad field or term raises InvalidParameter.  Each p_k, an expression in n,
+    is scaled by the lcm of their denominators, which keeps the terms and
+    makes the coefficients integral.
     """
     order, offset = data.get("order"), data.get("offset", 0)
     texts, initial = data.get("coeffs"), data.get("initial", {})
@@ -271,8 +272,5 @@ def parse_recurrence_job(data: dict) -> PRecurrence:
     parsed = [parse_polynomial(text, ("n",)) for text in texts]
     common = math.lcm(*[den for _, den in parsed])
     coeffs = [num.scale(common // den) for num, den in parsed]
-    try:
-        initial = {int(k): Fraction(str(v)) for k, v in initial.items()}
-    except (ValueError, ZeroDivisionError) as exc:
-        raise InvalidParameter(f"bad 'initial' term: {exc}") from exc
+    initial = {int(k): parse_rational(str(v)) for k, v in initial.items()}
     return PRecurrence(order=order, coeffs=tuple(coeffs), initial_terms=initial, offset=offset)

@@ -33,7 +33,7 @@ from itertools import chain
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
-from .errors import AllZero, ValueTooLarge
+from .errors import AllZero, InvalidParameter, ValueTooLarge
 
 Rational = Fraction
 
@@ -54,6 +54,18 @@ def format_int(n: int) -> str:
 def format_ratio(num: int, den: int) -> str:
     """Serialize the reduced pair num/den as "p/q", or "p" when den is 1."""
     return format_int(num) if den == 1 else f"{format_int(num)}/{format_int(den)}"
+
+
+def parse_rational(text: str) -> Fraction:
+    """The rational that `text` writes as an ASCII integer, decimal or "p/q";
+    other text, such as the Unicode digits `Fraction` also reads, raises
+    InvalidParameter."""
+    if not text.isascii():
+        raise InvalidParameter(f"{text!r} is not written in ASCII")
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise InvalidParameter(f"bad rational {text!r}: {exc}") from exc
 
 
 def report_csv(header: Sequence[str], rows: Iterable[Sequence[str]]) -> str:

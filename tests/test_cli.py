@@ -288,6 +288,12 @@ BAD_FIELD_CASES = [
     ({**COMMUTING_JOB, "maps": COMMUTING_JOB["maps"] * 2, "N": 3},
      {"maps": COMMUTING_JOB["maps"] + [["x+2", "y"]]}),
     ({**COMMUTING_JOB, "N": 201}, {"N": 4}),
+    # rationals in Arabic-Indic digits, which Fraction() would read as 3/2 and 3
+    ({**ORBIT_JOB, "start": ["0", "\u0663/\u0662"]}, {"start": ["0", "3/2"]}),
+    ({**DFINITE_JOB, "initial": {"0": "\u0663"}}, {"initial": {"0": "3"}}),
+    # horizons that leave no index past N0 (default 10 for dfinite)
+    ({**DFINITE_JOB, "N": 4}, {"N": 11}),
+    ({**GAP_JOB, "N": 2, "N0": 2}, {"N": 3}),
 ]
 BAD_FIELD_IDS = [
     "B_list", "tail_fraction", "curve_constants", "curve_constants-nan", "epsilon",
@@ -297,16 +303,18 @@ BAD_FIELD_IDS = [
     "map-str", "map-int",
     "maps-int", "variables-dup", "modulus-true", "modulus-str", "residues-float",
     "added-str", "T-modulus-str", "start-zero-den", "modulus-float", "residues-str",
-    "residues-true", "maps-over-limit", "norm-over-limit"]
+    "residues-true", "maps-over-limit", "norm-over-limit", "start-arabic-indic",
+    "initial-arabic-indic-term", "dfinite-N-below-N0", "gap-N-equal-N0"]
 
 
 @pytest.mark.parametrize("job, fixed", BAD_FIELD_CASES, ids=BAD_FIELD_IDS)
 def test_non_numeric_field_exit_2_no_output(job, fixed, tmp_path):
     """A field of the wrong JSON type or shape exits 2 without output (true,
     NaN and Infinity are not numbers, "2" is not an integer, a string is not
-    a list, an index is written in ASCII digits without leading zeros), and
-    so does a grid past the fixed limits; the same job with a well-formed
-    field runs.  `validate` gives the same exit code as `run` on both."""
+    a list, an index or rational is written in ASCII digits, an index
+    without leading zeros), and so does a grid past the fixed limits or a
+    horizon N <= N0; the same job with a well-formed field runs.  `validate`
+    gives the same exit code as `run` on both."""
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(job))
     out_dir = tmp_path / "out"

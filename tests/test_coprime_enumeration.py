@@ -1,6 +1,7 @@
 """Enumeration oracles for the projective point count.
 
-`count_points` counts by Moebius inversion.  The two box walks below are
+`count_points` counts by the quotient recursion
+N(x) = F(x) - sum_{g>=2} N(floor(x/g)).  The two box walks below are
 test-only references that share no logic with it: a pure-Python loop and a
 chunked numpy gcd expansion.  Both count the raw coprime vectors of
 [-box, box]^k (v and -v both) whose leading digit lies in a given range, so

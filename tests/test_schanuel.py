@@ -1,6 +1,8 @@
 import math
+import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from orbitheight.errors import BudgetExceeded, InvalidParameter
 from orbitheight.schanuel import (
@@ -33,11 +35,38 @@ def test_against_oracle_higher_dim():
 
 
 def test_mobius_fast_path_agrees():
-    # count_points is the Moebius sum; check that sum against the box walk
+    # count_points is the quotient recursion; check it against the box walk
     for n, bound in [(1, 50), (1, 137), (2, 30), (3, 8)]:
         expected = count_points_oracle(n, bound)
         assert count_points_mobius(n, bound) == expected
         assert count_points(n, bound).count == expected
+
+
+# largest bound drawn per dimension n, keeping each box walk near 0.3 s
+_ORACLE_BOUND = {1: 300, 2: 30, 3: 10, 4: 5}
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 4), st.data())
+def test_quotient_recursion_matches_box_walk(n, data):
+    # from B = 4 on, some quotient floor(x/g) is shared by a block of several g
+    bound = data.draw(st.integers(1, _ORACLE_BOUND[n]), label="bound")
+    assert count_points_mobius(n, bound) == count_points_oracle(n, bound)
+
+
+@pytest.mark.parametrize("n, bound, count", [
+    (1, 10**7, 121585425708968),
+    (2, 10**5, 3327670384236577),
+    (3, 10**4, 73928732809404592),
+    (4, 1000, 15467512565040961),
+])
+def test_large_counts_pinned_and_fast(n, bound, count):
+    """Counts at bounds far past any box walk, as a Moebius sieve over
+    g <= B gave them, each within 1 s of CPU time (the sieve's O(B) loop
+    takes several seconds at B = 10^7)."""
+    start = time.process_time()
+    assert count_points(n, bound, budget=10**40).count == count
+    assert time.process_time() - start < 1.0
 
 
 def test_monotone_and_bounded():
