@@ -8,7 +8,7 @@ Subpackages by concern:
 - commuting: commuting-map grids and norm-sliced diagnostics
 - dfinite: P-recursive sequences, growth classification, dynamical encoding
 - density: eventually-periodic subsets of N, exact densities and shift sets
-- schanuel: exact point counting of bounded height by Moebius inversion
+- schanuel: exact point counts of bounded height, by a recursion over floor(B/g)
 - dml: return sets and arithmetic-progression decomposition
 - cli: the `orbitheight` batch front-end
 """

@@ -132,7 +132,7 @@ def _build_gap(job: dict, budget: int):
         ell = _int_param(job, "ell", minimum=0)
 
     def run():
-        trace = orbit_mod.iterate_orbit(phi, observable, start, n_max)
+        trace = orbit_mod.iterate_orbit(phi, observable, start, n_max, heights_only=ell is None)
         report = orbit_mod.gap_diagnostics(
             trace, n0=n0, tail_fraction=float(tail_fraction),
             curve_constants=[float(c) for c in curve_constants],

@@ -5,7 +5,8 @@ nonzero coordinate positive, so v and -v share one representative.  On such
 coordinates the absolute logarithmic Weil height is log max|x_i|, computed
 here in double precision (>= 50 bits relative); every comparison that must
 be exact (h = 0, h(a) = h(b), additivity of products) is done on the
-integers themselves, never on the logs.
+integers themselves, or on an :class:`Interval` that raises
+:class:`Uncertain` where it cannot decide, never on the logs.
 
 The exact core runs on integers: hot loops carry an affine rational as a
 reduced int pair (numerator, denominator > 0) and spend at most one gcd per
@@ -21,14 +22,18 @@ report is joined by :func:`report_csv` from rows of str fields.  The same
 rule holds for P^1 values: orbit traces and grids keep them as canonical
 pairs (p, q) with heights from :func:`height_pair`, and build `P1Value`
 objects only for the rows read.
+A trace that reads only heights may carry :class:`Interval` enclosures of
+its values instead, whose leading bits certify each height.
 """
 
 from __future__ import annotations
 
 import math
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import total_ordering
 from itertools import chain
 from math import gcd, lcm
 from typing import Iterable, Sequence
@@ -58,10 +63,13 @@ def format_ratio(num: int, den: int) -> str:
 
 def parse_rational(text: str) -> Fraction:
     """The rational that `text` writes as an ASCII integer, decimal or "p/q";
-    other text, such as the Unicode digits `Fraction` also reads, raises
-    InvalidParameter."""
+    other text, such as the Unicode digits `Fraction` also reads, or a
+    decimal exponent past 9999 in absolute value, raises InvalidParameter."""
     if not text.isascii():
         raise InvalidParameter(f"{text!r} is not written in ASCII")
+    exponent = re.search(r"[eE][-+]?([0-9_]+)\s*$", text)  # Fraction computes 10^exponent
+    if exponent and len(exponent[1].replace("_", "").lstrip("0")) > 4:
+        raise InvalidParameter(f"{text!r} has a decimal exponent outside [-9999, 9999]")
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
@@ -171,9 +179,95 @@ def normalize_projective(raw: Sequence[Fraction | int]) -> PrimitiveVector:
     return PrimitiveVector._trusted(tuple(nums) if g == 1 else tuple([c // g for c in nums]))
 
 
-def height_pair(p: int, q: int) -> float:
-    """Height log max(|p|, |q|) of (p : q) in P^1, for coprime ints of any size."""
-    return math.log(max(abs(p), abs(q)))
+def height_pair(p, q) -> float:
+    """Height log max(|p|, |q|) of (p : q) in P^1, for coprime ints of any
+    size or Intervals around them.  CPython's `math.log` of an int reads
+    only the double x * 2^k it rounds to (frexp form): log(ldexp(x, k)) for
+    k <= 1024, log(x) + log(2.0) * k above.  So an enclosure of max(|p|, |q|)
+    gives the height when its ends round to one double, else Uncertain."""
+    if type(p) is int and type(q) is int:
+        return math.log(max(abs(p), abs(q)))
+    p, q = (v if v >= 0 else -v for v in map(Interval.of, (p, q)))
+    m = p if p >= q else q
+    (x, k), high = math.frexp(float(m.lo)), math.frexp(float(m.hi))
+    if (x, k) != high:
+        raise Uncertain("the ends of an interval round to different doubles")
+    k += m.e
+    return math.log(math.ldexp(x, k)) if k <= 1024 else math.log(x) + math.log(2.0) * k
+
+
+_BITS = 160  # bits per end of an Interval: 53 for a double, the rest for widening
+
+
+class Uncertain(ArithmeticError):
+    """An Interval cannot decide a sign or a rounded double."""
+
+
+@total_ordering
+class Interval:
+    """A real in [lo * 2^e, hi * 2^e] for ints lo <= hi of at most about
+    `_BITS` bits, rounded outward by each operation; exact when lo == hi, so
+    exact zeros stay exact.  It has the operators that compiled forms and
+    `_IntForm.value` apply, and a comparison it cannot decide raises Uncertain."""
+
+    __slots__ = ("lo", "hi", "e")
+
+    def __init__(self, lo: int, hi: int, e: int = 0):
+        s = max(-lo, hi).bit_length() - _BITS
+        if s > 0:
+            lo, hi, e = lo >> s, -(-hi >> s), e + s
+        self.lo, self.hi, self.e = lo, hi, e
+
+    @staticmethod
+    def of(x) -> "Interval":
+        return x if type(x) is Interval else Interval(x, x)
+
+    def _sign(self, other=0) -> int:
+        """The sign of self - other, or Uncertain."""
+        d = self - other if other else self
+        if d.lo > 0 or d.hi < 0 or d.lo == d.hi:  # the last: exact zero
+            return (d.lo > 0) - (d.hi < 0)
+        raise Uncertain("an interval holds both signs")
+
+    def __add__(self, other) -> "Interval":
+        # align at most 2 * _BITS bits below the larger top bit: a summand far
+        # smaller than the other then widens the sum by one unit there, and no
+        # shift is longer than 2 * _BITS bits
+        x, y = self, Interval.of(other)
+        top = max(x.e + max(-x.lo, x.hi).bit_length(), y.e + max(-y.lo, y.hi).bit_length())
+        e = max(min(x.e, y.e), top - 2 * _BITS)
+        (a, b), (c, d) = [(v.lo << v.e - e, v.hi << v.e - e) if v.e >= e
+                          else (v.lo >> e - v.e, -(-v.hi >> e - v.e)) for v in (x, y)]
+        return Interval(a + c, b + d, e)
+
+    def __sub__(self, other) -> "Interval":
+        return self + -other
+
+    def __neg__(self) -> "Interval":
+        return Interval(-self.hi, -self.lo, self.e)
+
+    def __mul__(self, other) -> "Interval":
+        other = Interval.of(other)
+        ends = (self.lo * other.lo, self.lo * other.hi, self.hi * other.lo, self.hi * other.hi)
+        return Interval(min(ends), max(ends), self.e + other.e)
+
+    __rmul__ = __mul__  # coefficient * power in the compiled forms
+
+    def __floordiv__(self, unit: int) -> "Interval":
+        # `value` divides by its g, which is +-1 wherever it skips the gcd
+        return self * unit
+
+    def __pow__(self, k: int) -> "Interval":
+        return math.prod([self] * k, start=Interval(1, 1))
+
+    def __bool__(self) -> bool:
+        return self._sign() != 0
+
+    def __eq__(self, other) -> bool:
+        return self._sign(other) == 0
+
+    def __lt__(self, other) -> bool:
+        return self._sign(other) < 0
 
 
 def height_projective(point: PrimitiveVector) -> float:

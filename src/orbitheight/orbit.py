@@ -24,7 +24,7 @@ from .errors import (
     HorizonTooShort,
     InvalidParameter,
 )
-from .exact import P1Value, as_pair, format_int, height_pair, report_csv
+from .exact import Interval, P1Value, Uncertain, as_pair, format_int, height_pair, report_csv
 from .poly import RationalFunction, RationalMap, p1_pair
 
 COMPLETED = "completed"
@@ -116,9 +116,11 @@ def _check_start(phi: RationalMap, start: Sequence[Fraction]) -> None:
         )
 
 
-def _states(phi: RationalMap, start: Sequence[Fraction], n_steps: int) -> Iterator[State]:
-    """States for n = 0..n_steps, each computed when requested, ending at a chart exit."""
-    state = tuple(as_pair(c) for c in start)
+def _states(phi: RationalMap, start: Sequence[Fraction], n_steps: int,
+            number=int) -> Iterator[State]:
+    """States for n = 0..n_steps, each computed when requested, ending at a
+    chart exit; the start's ints enter as number(int)."""
+    state = tuple((number(a), number(b)) for a, b in map(as_pair, start))
     yield state
     for _ in range(n_steps):
         state = step(phi, state)
@@ -140,21 +142,48 @@ def iterate_orbit(
     observable: RationalFunction,
     start: Sequence[Fraction],
     n_max: int,
+    heights_only: bool = False,
 ) -> OrbitTrace:
     """Trace (n, point, f(point), h(f(point))) for n = 0..n_max.
 
     Stops early when applying the map leaves the affine chart (including
     exits to infinity) or when the observable is indeterminate at a point;
     the stop reason records the first unreachable index.
+
+    With heights_only, an orbit that `_on_intervals` admits runs first on
+    `exact.Interval` values: `h` is certified and exact, but states and
+    coords are intervals.  If one is undecided it runs again exactly.
     """
     if n_max < 0:
         raise InvalidParameter("horizon must be nonnegative")
     if observable.variables != phi.variables:
         raise DimensionMismatch("observable and map must share a variable list")
     _check_start(phi, start)
+    if heights_only and _on_intervals(phi, observable, start):
+        try:
+            return _trace(phi, observable, start, n_max, Interval.of)
+        except Uncertain:
+            pass
+    return _trace(phi, observable, start, n_max, int)
+
+
+def _on_intervals(phi: RationalMap, observable: RationalFunction, start) -> bool:
+    """Whether the heights may run on intervals: `_IntForm.value` skips the
+    gcd of every value (all forms have resultant 1, or all have den 1 and
+    the start is integral), and the map has degree >= 2, so that its values
+    can outgrow `exact._BITS` bits in a few steps; below that ints are faster."""
+    forms = (*phi.components, observable)
+    one = {(0,) * phi.dim: 1}
+    gcd_free = all(f.form.resultant == 1 for f in forms) or (
+        all(as_pair(c)[1] == 1 for c in start) and all(f.den.terms == one for f in forms))
+    return gcd_free and any(
+        sum(e) > 1 for f in phi.components for e in chain(f.num.terms, f.den.terms))
+
+
+def _trace(phi, observable, start, n_max: int, number) -> OrbitTrace:
     states, coords = [], []
     stop_reason, stop_index = COMPLETED, None
-    for state in _states(phi, start, n_max):
+    for state in _states(phi, start, n_max, number):
         value = p1_pair(observable, state)
         if value is None:
             stop_reason, stop_index = HIT_OBSERVABLE_INDETERMINACY, len(states)

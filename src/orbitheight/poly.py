@@ -145,7 +145,8 @@ class _IntForm:
     and F u' + G v' = R Y^(2D-1) for some forms u, v, u', v' (the resultant
     lemma for morphisms of P^1).  So `value`, which reduces every exact value
     the package makes, takes the gcd on residues mod R and skips it when
-    |R| = 1.  A constant den c gives the closed form |R| = |c f_D|^D, f_D the
+    |R| = 1 or when the den it evaluates is 1, as a polynomial's is at
+    integers.  A constant den c gives the closed form |R| = |c f_D|^D, f_D the
     top coefficient of num; this is 1 for constant forms, whose
     content-canonical pairs are coprime.
     Other dens take the 2D x 2D Sylvester determinant by Bareiss
@@ -154,7 +155,7 @@ class _IntForm:
     (CPython 3.11); hence the cap `_RESULTANT_MAX_DEGREE`.  `resultant` is
     0, meaning unknown, past that degree, for forms in two or more
     variables, and when R = 0 (F and G share a root, as in the uncancelled
-    (x^2-1)/(x-1)); `value` then takes the full gcd.
+    (x^2-1)/(x-1)); `value` then takes the full gcd of a den other than 1.
     """
 
     __slots__ = ("pair_at", "resultant", "_terms")
@@ -185,7 +186,7 @@ class _IntForm:
         (1, 0) where den vanishes; None where num and den both vanish."""
         num, den = self.pair_at(pairs)
         r = self.resultant
-        g = 1 if r == 1 else gcd(r, num % r, den % r) if r else gcd(num, den)
+        g = 1 if r == 1 or den == 1 else gcd(r, num % r, den % r) if r else gcd(num, den)
         if den <= 0:
             if not (num or den):
                 return None

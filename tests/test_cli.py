@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -294,6 +295,11 @@ BAD_FIELD_CASES = [
     # horizons that leave no index past N0 (default 10 for dfinite)
     ({**DFINITE_JOB, "N": 4}, {"N": 11}),
     ({**GAP_JOB, "N": 2, "N0": 2}, {"N": 3}),
+    # decimal exponents that Fraction() would expand into 10^2000000
+    ({**ORBIT_JOB, "start": ["0", "1e2000000"]}, {"start": ["0", "1e2"]}),
+    ({**ORBIT_JOB, "start": ["0", "1e-2000000"]}, {"start": ["0", "1e-2"]}),
+    ({**DFINITE_JOB, "initial": {"0": "1e2000000"}}, {"initial": {"0": "1e2"}}),
+    ({**DFINITE_JOB, "initial": {"0": "1e-2000000"}}, {"initial": {"0": "1e-2"}}),
 ]
 BAD_FIELD_IDS = [
     "B_list", "tail_fraction", "curve_constants", "curve_constants-nan", "epsilon",
@@ -304,7 +310,9 @@ BAD_FIELD_IDS = [
     "maps-int", "variables-dup", "modulus-true", "modulus-str", "residues-float",
     "added-str", "T-modulus-str", "start-zero-den", "modulus-float", "residues-str",
     "residues-true", "maps-over-limit", "norm-over-limit", "start-arabic-indic",
-    "initial-arabic-indic-term", "dfinite-N-below-N0", "gap-N-equal-N0"]
+    "initial-arabic-indic-term", "dfinite-N-below-N0", "gap-N-equal-N0",
+    "start-exponent-large", "start-exponent-small", "initial-exponent-large",
+    "initial-exponent-small"]
 
 
 @pytest.mark.parametrize("job, fixed", BAD_FIELD_CASES, ids=BAD_FIELD_IDS)
@@ -312,14 +320,17 @@ def test_non_numeric_field_exit_2_no_output(job, fixed, tmp_path):
     """A field of the wrong JSON type or shape exits 2 without output (true,
     NaN and Infinity are not numbers, "2" is not an integer, a string is not
     a list, an index or rational is written in ASCII digits, an index
-    without leading zeros), and so does a grid past the fixed limits or a
-    horizon N <= N0; the same job with a well-formed field runs.  `validate`
+    without leading zeros), and so does a grid past the fixed limits, a
+    horizon N <= N0 or a rational with a decimal exponent past 9999, all
+    within a second; the same job with a well-formed field runs.  `validate`
     gives the same exit code as `run` on both."""
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(job))
     out_dir = tmp_path / "out"
+    t0 = time.perf_counter()
     assert main(["validate", str(path)]) == 2
     assert main(["run", str(path), "--out", str(out_dir)]) == 2
+    assert time.perf_counter() - t0 < 1.0
     assert not out_dir.exists()
     path.write_text(json.dumps({**job, **fixed}))
     assert main(["validate", str(path)]) == 0
