@@ -16,7 +16,6 @@ Subpackages by concern:
 from .exact import (
     P1Value,
     PrimitiveVector,
-    Rational,
     height_projective,
     height_rational,
     normalize_projective,
@@ -36,7 +35,6 @@ __version__ = "0.1.0"
 __all__ = [
     "P1Value",
     "PrimitiveVector",
-    "Rational",
     "height_projective",
     "height_rational",
     "normalize_projective",

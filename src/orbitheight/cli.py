@@ -6,11 +6,14 @@ Commands:
     orbitheight catalog
     orbitheight validate <job.json>
 
-A job either names a file or a bundled catalog fixture.  Reports are
-written next to the input (or into --out) as <job>.report.csv and
-<job>.report.json, built fully in memory first so failed runs leave no
-partial files; every CSV report is joined by `exact.report_csv`.  Map
-jobs (orbit, gap, dml, commuting) are read by one parser, `_parse_map_job`.
+A job either names a file or, by a plain name, the bundled catalog fixture
+catalog/<name>.json.  Reports are written next to the input (or into
+--out) as <job>.report.csv, then <job>.report.json.  Both are built fully
+in memory first, so a failed run writes nothing, and each is then written
+over the old report in place, without truncating it first, so a run killed
+mid-write can leave a mixed report.  Every CSV report is joined by
+`exact.report_csv`.  Map jobs (orbit, gap, dml, commuting) are read by one
+parser, `_parse_map_job`.
 Exit codes: 0 success, 2 validation error (bad JSON, schema, expressions,
 a field of the wrong JSON type), 3 runtime error (indeterminacy, budget,
 missing terms).
@@ -25,6 +28,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from importlib import resources
 from pathlib import Path
@@ -346,13 +350,11 @@ def _read_job_source(name: str) -> tuple[str, str, Path]:
             raise ValidationError(f"cannot read job file {path}: {exc}") from exc
         stem = path.name[: -len(".json")] if path.name.endswith(".json") else path.name
         return stem, text, path.parent
-    if name in list_catalog():
-        text = (
-            resources.files("orbitheight")
-            .joinpath("catalog", f"{name}.json")
-            .read_text(encoding="utf-8")
-        )
-        return name, text, Path.cwd()
+    # a catalog name is one plain file name: no separator, no leading dot
+    if name and not name.startswith(".") and "/" not in name and "\\" not in name:
+        entry = resources.files("orbitheight").joinpath("catalog", f"{name}.json")
+        if entry.is_file():
+            return name, entry.read_text(encoding="utf-8"), Path.cwd()
     raise ValidationError(f"no such job file or catalog entry: {name}")
 
 
@@ -364,6 +366,25 @@ def list_catalog() -> list[str]:
         for entry in base.iterdir()
         if entry.name.endswith(".json")
     )
+
+
+def _open_in_place(path: str, flags: int) -> int:
+    return os.open(path, flags & ~os.O_TRUNC, 0o666)
+
+
+def _write_report(path: Path, text: str) -> None:
+    """Write text as UTF-8 over the old bytes of path, then cut it to length.
+
+    Like `Path.write_text`, this creates a missing file with mode 0o666 &
+    ~umask, follows symlinks and raises OSError on a directory or read-only
+    path.  It opens without O_TRUNC because truncating a non-empty file to
+    zero is slow on some file systems: ext4 flushes such a file at close
+    (`auto_da_alloc`), which costs several times a short report's write.
+    """
+    data = text.encode("utf-8")
+    with open(path, "wb", opener=_open_in_place) as out:
+        out.write(data)
+        out.truncate()
 
 
 def run_job(
@@ -389,8 +410,8 @@ def run_job(
     target_dir.mkdir(parents=True, exist_ok=True)
     csv_path = target_dir / f"{stem}.report.csv"
     json_path = target_dir / f"{stem}.report.json"
-    csv_path.write_text(csv_text, encoding="utf-8")
-    json_path.write_text(json_text, encoding="utf-8")
+    _write_report(csv_path, csv_text)
+    _write_report(json_path, json_text)
     return csv_path, json_path
 
 

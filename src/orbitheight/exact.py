@@ -40,8 +40,6 @@ from typing import Iterable, Sequence
 
 from .errors import AllZero, InvalidParameter, ValueTooLarge
 
-Rational = Fraction
-
 
 def format_int(n: int) -> str:
     """Decimal text of an exact integer; ValueTooLarge past the int-to-str limit."""

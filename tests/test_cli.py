@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
 import time
@@ -431,6 +432,110 @@ def test_run_job_from_explicit_path(tmp_path):
 def test_validation_error_type():
     with pytest.raises(ValidationError):
         run_job("definitely-not-a-job")
+
+
+@pytest.mark.parametrize("name", [
+    "", "../cli", "../catalog/catalan", "..\\catalog\\catalan", "catalog/catalan",
+    ".hidden", "catalan.json",
+])
+def test_non_catalog_name_exit_2_no_output(name, tmp_path, monkeypatch):
+    """A catalog name is a plain bundled job name: a path separator, a
+    leading dot or a file suffix never reaches a bundled file."""
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    out_dir = tmp_path / "out"
+    assert main(["run", name, "--out", str(out_dir)]) == 2
+    assert main(["validate", name]) == 2
+    assert not out_dir.exists()
+    assert list(work.iterdir()) == []
+
+
+def test_every_catalog_name_runs(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for name in list_catalog():
+        csv_path, json_path = run_job(name)
+        assert (csv_path.parent, csv_path.name) == (tmp_path, f"{name}.report.csv")
+        assert json_path.read_text(encoding="utf-8").startswith("{")
+
+
+def test_rerun_writes_over_old_reports_in_place(tmp_path, monkeypatch):
+    """A re-run opens the old report files without O_TRUNC and writes over
+    them: they keep their inodes and hold exactly the new bytes after a
+    longer and after a shorter old report."""
+    csv_path, json_path = run_job("catalan", out_dir=tmp_path)
+    inodes = [os.stat(p).st_ino for p in (csv_path, json_path)]
+    opened = []
+    os_open = os.open
+
+    def recording_open(path, flags, *args, **kwargs):
+        opened.append((Path(path).name, flags & os.O_TRUNC))
+        return os_open(path, flags, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", recording_open)
+    for old in (b"9" * 100_000, b"\n"):
+        csv_path.write_bytes(old)
+        json_path.write_bytes(old)
+        opened.clear()
+        assert run_job("catalan", out_dir=tmp_path) == (csv_path, json_path)
+        assert opened == [(csv_path.name, 0), (json_path.name, 0)]
+        for produced in (csv_path, json_path):
+            assert produced.read_bytes() == (GOLDEN / produced.name).read_bytes()
+        assert [os.stat(p).st_ino for p in (csv_path, json_path)] == inodes
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077, 0o002], ids=oct)
+def test_new_report_mode_matches_write_text(umask, tmp_path):
+    old_umask = os.umask(umask)
+    try:
+        reports = run_job("density-evens", out_dir=tmp_path)
+        reference = tmp_path / "reference.txt"
+        reference.write_text("x", encoding="utf-8")
+    finally:
+        os.umask(old_umask)
+    mode = stat.S_IMODE(reference.stat().st_mode)
+    assert [stat.S_IMODE(p.stat().st_mode) for p in reports] == [mode, mode]
+
+
+def test_report_symlinks_write_through(tmp_path):
+    """A report path that is a symlink writes its target, which is created
+    when missing, as `Path.write_text` would."""
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    csv_target, json_target = tmp_path / "kept.csv", tmp_path / "new.json"
+    csv_target.write_bytes(b"old report\n" * 1000)
+    (out_dir / "catalan.report.csv").symlink_to(csv_target)
+    (out_dir / "catalan.report.json").symlink_to(json_target)
+    csv_path, json_path = run_job("catalan", out_dir=out_dir)
+    assert csv_path.is_symlink() and json_path.is_symlink()
+    assert csv_target.read_bytes() == (GOLDEN / "catalan.report.csv").read_bytes()
+    assert json_target.read_bytes() == (GOLDEN / "catalan.report.json").read_bytes()
+
+
+def test_report_path_that_is_a_directory_raises_as_write_text(tmp_path):
+    blocked = tmp_path / "catalan.report.csv"
+    blocked.mkdir()
+    with pytest.raises(OSError) as by_write_text:
+        blocked.write_text("x", encoding="utf-8")
+    with pytest.raises(type(by_write_text.value)):
+        run_job("catalan", out_dir=tmp_path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["catalan.report.csv"]
+
+
+def test_failed_run_leaves_old_reports_untouched(tmp_path):
+    job = tmp_path / "undef.json"
+    job.write_text(json.dumps({"kind": "dml", "variables": ["x"], "map": ["1/x"],
+                               "start": ["0"], "Y": ["x"], "N": 5}))
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    old = {}
+    for suffix in ("csv", "json"):
+        report = out_dir / f"undef.report.{suffix}"
+        report.write_bytes(f"old {suffix} report\n".encode() * 50)
+        old[report] = report.read_bytes()
+    assert main(["run", str(job), "--out", str(out_dir)]) == 3
+    assert {report: report.read_bytes() for report in old} == old
+    assert sorted(out_dir.iterdir()) == sorted(old)
 
 
 @pytest.fixture
