@@ -11,7 +11,8 @@ catalog/<name>.json.  Reports are written next to the input (or into
 --out) as <job>.report.csv, then <job>.report.json.  Both are built fully
 in memory first, so a failed run writes nothing, and each is then written
 over the old report in place, without truncating it first, so a run killed
-mid-write can leave a mixed report.  Every CSV report is joined by
+mid-write can leave the new report followed by stale rows of the old one
+(see `_write_report`).  Every CSV report is joined by
 `exact.report_csv`.  Map jobs (orbit, gap, dml, commuting) are read by one
 parser, `_parse_map_job`.
 Exit codes: 0 success, 2 validation error (bad JSON, schema, expressions,
@@ -373,18 +374,27 @@ def _open_in_place(path: str, flags: int) -> int:
 
 
 def _write_report(path: Path, text: str) -> None:
-    """Write text as UTF-8 over the old bytes of path, then cut it to length.
+    """Write text as UTF-8 over the old bytes of path, then cut off any rest.
 
     Like `Path.write_text`, this creates a missing file with mode 0o666 &
     ~umask, follows symlinks and raises OSError on a directory or read-only
     path.  It opens without O_TRUNC because truncating a non-empty file to
     zero is slow on some file systems: ext4 flushes such a file at close
     (`auto_da_alloc`), which costs several times a short report's write.
+    The file is cut only when the old one was longer, so a new file or a
+    report of unchanged length costs no more than `write_text`.
+
+    The price: a run killed before the cut leaves the new report followed
+    by the tail of the old one, which for a CSV can read as well-formed
+    rows of the previous run.  And without that flush at close, a power
+    loss soon after a run is likelier to leave the old bytes on disk.
     """
     data = text.encode("utf-8")
     with open(path, "wb", opener=_open_in_place) as out:
+        longer = os.fstat(out.fileno()).st_size > len(data)
         out.write(data)
-        out.truncate()
+        if longer:
+            out.truncate()
 
 
 def run_job(
