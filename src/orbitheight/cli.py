@@ -17,7 +17,7 @@ mid-write can leave the new report followed by stale rows of the old one
 parser, `_parse_map_job`.
 Exit codes: 0 success, 2 validation error (bad JSON, schema, expressions,
 a field of the wrong JSON type), 3 runtime error (indeterminacy, budget,
-missing terms).
+missing terms, a report that cannot be written).
 
 Determinism: real-valued report fields are formatted with six decimals
 (round half to even); exact quantities (counts, rationals) are never
@@ -222,6 +222,7 @@ def _build_density(job: dict, budget: int):
 
 def _build_schanuel(job: dict, budget: int):
     n = _int_param(job, "n", minimum=1)
+    _require(n <= schanuel_mod.MAX_DIMENSION, f"'n' must be <= {schanuel_mod.MAX_DIMENSION}")
     bounds = job.get("B_list")
     _require(isinstance(bounds, list) and bounds
              and all(_is_number(b, (int,)) and b >= 1 for b in bounds),
@@ -473,7 +474,7 @@ def main(argv=None) -> int:
     except ValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 2
-    except OrbitHeightError as exc:
+    except (OrbitHeightError, OSError) as exc:  # OSError: a report could not be written
         print(f"runtime error: {exc}", file=sys.stderr)
         return 3
 

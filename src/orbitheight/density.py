@@ -55,7 +55,7 @@ class EventuallyPeriodicSet:
     def __setattr__(self, *_):
         raise AttributeError("EventuallyPeriodicSet is immutable")
 
-    # --- membership and counting ---
+    # --- membership ---
 
     def __contains__(self, n: int) -> bool:
         if n < 0:
@@ -65,15 +65,6 @@ class EventuallyPeriodicSet:
         if n in self.removed:
             return False
         return n % self.modulus in self.residues
-
-    @property
-    def stabilization_bound(self) -> int:
-        """Index from which membership is purely periodic."""
-        exceptions = self.added | self.removed
-        return max(exceptions) + 1 if exceptions else 0
-
-    def is_empty(self) -> bool:
-        return not self.residues and not self.added
 
     # --- equality on canonical form ---
 
@@ -146,10 +137,6 @@ def _least_modulus(m: int, residues: frozenset[int]) -> tuple[int, frozenset[int
 
 NATURALS = EventuallyPeriodicSet(1, [0])
 EMPTY = EventuallyPeriodicSet(1, [])
-
-
-def evens() -> EventuallyPeriodicSet:
-    return EventuallyPeriodicSet(2, [0])
 
 
 def density(s: EventuallyPeriodicSet) -> Fraction:

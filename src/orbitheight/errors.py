@@ -121,7 +121,6 @@ class HypothesisViolated(ValidationError):
 # --- point counting ---
 
 class BudgetExceeded(OrbitHeightError):
-    def __init__(self, needed: int, budget: int):
-        super().__init__(f"box (2B+1)^(n+1) has {needed} vectors, budget is {budget}")
-        self.needed = needed
+    def __init__(self, budget: int):
+        super().__init__(f"box (2B+1)^(n+1) has more than the budget of {budget} vectors")
         self.budget = budget

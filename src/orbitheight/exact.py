@@ -97,11 +97,8 @@ def report_csv(header: Sequence[str], rows: Iterable[Sequence[str]]) -> str:
     return text
 
 
-def as_pair(q) -> tuple[int, int]:
-    """Reduced (numerator, denominator > 0) of an int, a Fraction, or any
-    other input the `Fraction` constructor accepts."""
-    if not isinstance(q, (int, Fraction)):
-        q = Fraction(q)
+def as_pair(q: int | Fraction) -> tuple[int, int]:
+    """Reduced (numerator, denominator > 0) of an int or a Fraction."""
     return q.numerator, q.denominator
 
 

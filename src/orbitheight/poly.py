@@ -244,9 +244,7 @@ class Polynomial:
         return self.terms.get(zero, 0)
 
     def leading_coefficient(self) -> int:
-        """Coefficient of the graded-lex leading term (0 for the zero poly)."""
-        if not self.terms:
-            return 0
+        """Coefficient of the graded-lex leading term; ValueError on the zero poly."""
         return self.terms[max(self.terms, key=_grlex_key)]
 
     # --- arithmetic ---

@@ -19,6 +19,8 @@ from .errors import BudgetExceeded, InvalidParameter
 from .exact import report_csv
 
 DEFAULT_BUDGET = 10**9
+# largest n whose ratio N(B)/B^(n+1) fits a double: (3^(n+1) - 1)/2 at B = 1
+MAX_DIMENSION = 645
 
 
 @dataclass(frozen=True)
@@ -44,21 +46,23 @@ def count_points(
 ) -> CountReport:
     """Exact N(B) for P^n(Q) by the quotient recursion of `count_points_mobius`.
 
-    `budget` caps the box size (2B+1)^(n+1) and is checked before any work;
+    `budget` caps the box size (2B+1)^(n+1) and is checked before any work,
+    by bit lengths where they decide it, so an oversized box is never built;
     the count itself takes O(B^(3/4)) time and O(sqrt B) memory, far below
     the box.  `threads` is validated but the count is sequential, so the
     result cannot depend on it.
     """
-    if n < 1:
-        raise InvalidParameter("projective dimension must be >= 1")
+    if not 1 <= n <= MAX_DIMENSION:
+        raise InvalidParameter(f"projective dimension must lie in [1, {MAX_DIMENSION}]")
     if bound < 1:
         raise InvalidParameter("height bound must be >= 1")
     if threads < 1:
         raise InvalidParameter("threads must be >= 1")
     k = n + 1
-    needed = (2 * bound + 1) ** k
-    if needed > budget:
-        raise BudgetExceeded(needed, budget)
+    side = 2 * bound + 1
+    # side^k >= 2^(k * (bits - 1)), which exceeds budget once that many bits do
+    if k * (side.bit_length() - 1) >= budget.bit_length() or side**k > budget:
+        raise BudgetExceeded(budget)
     count = count_points_mobius(n, bound)
     return CountReport(
         n=n,

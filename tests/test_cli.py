@@ -216,10 +216,19 @@ def test_runtime_indeterminacy_exit_3(tmp_path):
         assert not out_dir.exists()
 
 
-def test_budget_exit_3(tmp_path):
-    job = tmp_path / "big.json"
-    job.write_text(json.dumps({"kind": "schanuel", "n": 3, "B_list": [1000]}))
-    assert main(["run", str(job), "--out", str(tmp_path / "out")]) == 3
+def test_budget_exit_3(tmp_path, capsys, int_str_limit):
+    # boxes of about 10^12, 10^4400 and 10^2600000 vectors: the last two are
+    # past the int-to-str limit, and none of them is built
+    for k, data in enumerate([{"n": 3, "B_list": [1000]}, {"n": 1, "B_list": [10**2200]},
+                              {"n": 645, "B_list": [10**4000]}]):
+        job = tmp_path / f"big{k}.json"
+        job.write_text(json.dumps({"kind": "schanuel", **data}))
+        out_dir = tmp_path / f"out{k}"
+        t0 = time.perf_counter()
+        assert main(["run", str(job), "--out", str(out_dir)]) == 3
+        assert time.perf_counter() - t0 < 0.5
+        assert capsys.readouterr().err.startswith("runtime error:")
+        assert not out_dir.exists()
 
 
 def test_budget_flag(tmp_path):
@@ -228,6 +237,12 @@ def test_budget_flag(tmp_path):
     assert main(["run", str(job), "--out", str(tmp_path / "out"), "--budget", "100"]) == 3
     assert not (tmp_path / "out").exists()
     assert main(["run", str(job), "--out", str(tmp_path / "out2")]) == 0
+    # at B = 1 the ratio is (3^(n+1) - 1)/2, a double up to n = 645
+    for n, code in ((645, 0), (1000, 2)):
+        job.write_text(json.dumps({"kind": "schanuel", "n": n, "B_list": [1]}))
+        out_dir = tmp_path / f"out-n{n}"
+        assert main(["run", str(job), "--out", str(out_dir), "--budget", str(10**500)]) == code
+        assert out_dir.exists() == (code == 0)
 
 
 def test_threads_validated_for_every_kind(tmp_path):
@@ -253,6 +268,9 @@ def _without(job, key):
 
 BAD_FIELD_CASES = [
     ({"kind": "schanuel", "n": 1, "B_list": [True]}, {"B_list": [1]}),
+    # dimensions whose ratio at B = 1 would overflow a double
+    ({"kind": "schanuel", "n": 646, "B_list": [1]}, {"n": 1}),
+    ({"kind": "schanuel", "n": 10000, "B_list": [1]}, {"n": 1}),
     ({**GAP_JOB, "tail_fraction": True}, {"tail_fraction": 1}),
     ({**GAP_JOB, "curve_constants": [True]}, {"curve_constants": [1]}),
     ({**GAP_JOB, "curve_constants": [math.nan]}, {"curve_constants": [1.5]}),
@@ -303,7 +321,8 @@ BAD_FIELD_CASES = [
     ({**DFINITE_JOB, "initial": {"0": "1e-2000000"}}, {"initial": {"0": "1e-2"}}),
 ]
 BAD_FIELD_IDS = [
-    "B_list", "tail_fraction", "curve_constants", "curve_constants-nan", "epsilon",
+    "B_list", "schanuel-n-646", "schanuel-n-10000", "tail_fraction", "curve_constants",
+    "curve_constants-nan", "epsilon",
     "epsilon-inf", "order-missing", "coeffs-missing", "order-str", "order-float", "offset-str",
     "offset-negative", "initial-key", "initial-list", "initial-zero-den",
     "initial-leading-zero", "initial-arabic-indic-zero", "initial-arabic-indic-three",
@@ -321,8 +340,9 @@ def test_non_numeric_field_exit_2_no_output(job, fixed, tmp_path):
     """A field of the wrong JSON type or shape exits 2 without output (true,
     NaN and Infinity are not numbers, "2" is not an integer, a string is not
     a list, an index or rational is written in ASCII digits, an index
-    without leading zeros), and so does a grid past the fixed limits, a
-    horizon N <= N0 or a rational with a decimal exponent past 9999, all
+    without leading zeros), and so does a point count in a dimension past
+    645, a grid past the fixed limits, a horizon N <= N0 or a rational
+    with a decimal exponent past 9999, all
     within a second; the same job with a well-formed field runs.  `validate`
     gives the same exit code as `run` on both."""
     path = tmp_path / "bad.json"
@@ -517,6 +537,14 @@ def test_report_path_that_is_a_directory_raises_as_write_text(tmp_path):
     with pytest.raises(type(by_write_text.value)):
         run_job("catalan", out_dir=tmp_path)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["catalan.report.csv"]
+
+
+def test_out_path_that_is_a_file_exit_3(tmp_path, capsys):
+    blocked = tmp_path / "out"
+    blocked.write_bytes(b"not a directory\n")
+    assert main(["run", "catalan", "--out", str(blocked)]) == 3
+    assert capsys.readouterr().err.startswith("runtime error:")
+    assert blocked.read_bytes() == b"not a directory\n"
 
 
 def test_failed_run_leaves_old_reports_untouched(tmp_path):

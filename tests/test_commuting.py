@@ -10,7 +10,7 @@ from orbitheight.commuting import (
     grid_to_csv,
     norm_sliced_diagnostics,
 )
-from orbitheight.density import EMPTY, NATURALS, EventuallyPeriodicSet, evens
+from orbitheight.density import EMPTY, NATURALS, EventuallyPeriodicSet
 from orbitheight.errors import EmptyIntersection, InvalidParameter, NotCommuting
 from orbitheight.orbit import iterate_orbit, step
 from orbitheight.poly import p1_pair, parse_expression, parse_map
@@ -124,7 +124,7 @@ def test_undefined_propagation():
 
 def test_norm_sliced_example():
     mtrace = example_52_grid(12)
-    report = norm_sliced_diagnostics(mtrace, evens(), 2)
+    report = norm_sliced_diagnostics(mtrace, EventuallyPeriodicSet(2, [0]), 2)
     assert report.sup_at == 12
     assert report.sup_ratio == pytest.approx(12 * math.log(2) / math.log(12), rel=1e-12)
     for st in report.slices:
@@ -135,7 +135,7 @@ def test_norm_sliced_example():
 def test_norm_sliced_off_ray_is_zero():
     mtrace = example_52_grid(12)
     report = norm_sliced_diagnostics(
-        mtrace, evens(), 2, index_filter=lambda idx: idx[1] > 0
+        mtrace, EventuallyPeriodicSet(2, [0]), 2, index_filter=lambda idx: idx[1] > 0
     )
     assert report.sup_ratio == 0.0
 

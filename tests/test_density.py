@@ -15,7 +15,6 @@ from orbitheight.density import (
     EventuallyPeriodicSet,
     check_lemma_shifts,
     density,
-    evens,
     intersection,
     shift,
     shift_set,
@@ -44,7 +43,7 @@ def count_prefix(s: EventuallyPeriodicSet, n: int) -> int:
 
 
 def test_density_examples():
-    assert density(evens()) == Fraction(1, 2)
+    assert density(EventuallyPeriodicSet(2, [0])) == Fraction(1, 2)
     assert density(EventuallyPeriodicSet(1, [0], removed=[5, 17])) == 1
     assert density(EMPTY) == 0
 
@@ -61,12 +60,12 @@ def test_exceptions_normalized():
     # redundant flags are dropped
     s = EventuallyPeriodicSet(2, [0], added=[4], removed=[5])
     assert s.added == frozenset() and s.removed == frozenset()
-    assert s == evens()
+    assert s == EventuallyPeriodicSet(2, [0])
 
 
 def test_least_modulus_canonicalization():
-    assert EventuallyPeriodicSet(4, [0, 2]) == evens()
-    assert EventuallyPeriodicSet(6, [0, 2, 4]) == evens()
+    assert EventuallyPeriodicSet(4, [0, 2]) == EventuallyPeriodicSet(2, [0])
+    assert EventuallyPeriodicSet(6, [0, 2, 4]) == EventuallyPeriodicSet(2, [0])
     assert EventuallyPeriodicSet(6, [0, 3]).modulus == 3
     assert EventuallyPeriodicSet(4, [0, 1]).modulus == 4
 
@@ -114,12 +113,13 @@ def test_density_job_with_huge_modulus_runs_fast(tmp_path):
 
 
 def combine_by_classes(a, b, keep):
-    """Reference: classify each n below the bound as added or removed here."""
+    """Reference: classify each n up to the last exception as added or removed here."""
     m = lcm(a.modulus, b.modulus)
     residues = [r for r in range(m) if keep(r % a.modulus in a.residues, r % b.modulus in b.residues)]
     periodic_part = set(residues)
     added, removed = [], []
-    for n in range(max(a.stabilization_bound, b.stabilization_bound)):
+    exceptions = a.added | a.removed | b.added | b.removed
+    for n in range(max(exceptions, default=-1) + 1):
         actual = keep(n in a, n in b)
         periodic = n % m in periodic_part
         if actual and not periodic:
@@ -130,11 +130,11 @@ def combine_by_classes(a, b, keep):
 
 
 def shift_by_classes(s, i):
-    """Reference: classify each n below the bound as added or removed here."""
+    """Reference: classify each n up to the last exception plus i as added or removed here."""
     m = s.modulus
     residues = {(r + i) % m for r in s.residues}
     added, removed = [], []
-    for n in range(max(0, s.stabilization_bound + i, i)):
+    for n in range(max(0, max(s.added | s.removed, default=-1) + 1 + i)):
         actual = (n - i) in s
         periodic = n % m in residues
         if actual and not periodic:
@@ -181,11 +181,11 @@ def test_set_operations_cost_what_their_residues_list():
 
 def test_set_algebra_examples():
     t3 = multiples_of(3)
-    assert intersection(t3, shift(t3, 1)).is_empty()
-    odds = shift(evens(), 1)
+    assert intersection(t3, shift(t3, 1)) == EMPTY
+    odds = shift(EventuallyPeriodicSet(2, [0]), 1)
     assert odds == EventuallyPeriodicSet(2, [1])
     assert density(odds) == Fraction(1, 2)
-    u = union(evens(), t3)
+    u = union(EventuallyPeriodicSet(2, [0]), t3)
     assert u == EventuallyPeriodicSet(6, [0, 2, 3, 4])
     assert density(u) == Fraction(2, 3)
 
@@ -210,12 +210,16 @@ def test_shift_set_examples():
     assert shift_set(EMPTY) == EMPTY
 
 
-def test_check_lemma_examples():
+def test_check_lemma_examples(monkeypatch):
     t3 = multiples_of(3)
     assert check_lemma_shifts(t3, [0, 1, 2, 3], 4) == (3, 0)
-    assert check_lemma_shifts(evens(), [1, 2, 3], 3) == (3, 1)
+    assert check_lemma_shifts(EventuallyPeriodicSet(2, [0]), [1, 2, 3], 3) == (3, 1)
     j, k = check_lemma_shifts(NATURALS, [10, 14], 2)
     assert (j, k) == (14, 10)
+    # a wrong shift set that leaves no witness fails loudly instead of returning one
+    monkeypatch.setattr("orbitheight.density.shift_set", lambda s: EMPTY)
+    with pytest.raises(AssertionError, match="pigeonhole bound"):
+        check_lemma_shifts(NATURALS, [10, 14], 2)
 
 
 def test_check_lemma_hypothesis_violated():
@@ -312,7 +316,10 @@ def test_empirical_convergence_bound():
 def test_textual_form():
     s = EventuallyPeriodicSet(4, [0, 1], added=[6], removed=[4])
     assert str(s) == "mod 4: {0,1} +{6} -{4}"
+    assert repr(s) == "EventuallyPeriodicSet(mod 4: {0,1} +{6} -{4})"
     assert str(EMPTY) == "mod 1: {}"
+    # equal canonical forms hash alike, so sets and dict keys merge them
+    assert {s, EventuallyPeriodicSet(8, [0, 1, 4, 5], added=[6], removed=[4])} == {s}
 
 
 def test_json_roundtrip():

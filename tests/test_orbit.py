@@ -10,7 +10,7 @@ from orbitheight.commuting import (
     grid_orbit,
     norm_sliced_diagnostics,
 )
-from orbitheight.density import NATURALS, EventuallyPeriodicSet, evens
+from orbitheight.density import NATURALS, EventuallyPeriodicSet
 from orbitheight.dfinite import PRecurrence, classify_height_growth
 from orbitheight.dml import Subvariety, return_set
 from orbitheight.errors import (
@@ -265,7 +265,7 @@ F, G = parse_expression("x", X), parse_expression("x", X2)
     (lambda: P1Value((1, 2, 3)), ValueError, "exactly two coordinates"),
     (lambda: count_points(1, 5, threads=0), InvalidParameter, "threads must be >= 1"),
     (lambda: count_points_mobius(0, 1), InvalidParameter, "need n >= 1 and bound >= 1"),
-    (lambda: setattr(evens(), "modulus", 3), AttributeError, "immutable"),
+    (lambda: setattr(EventuallyPeriodicSet(2, [0]), "modulus", 3), AttributeError, "immutable"),
     (lambda: EventuallyPeriodicSet.from_json([2, 0]), InvalidParameter, "a JSON object"),
     (lambda: EventuallyPeriodicSet.from_json({"modulus": 2.7, "residues": [True, "1"]}),
      InvalidParameter, "integer 'modulus'"),

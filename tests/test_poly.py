@@ -136,6 +136,12 @@ def test_content_canonicalization():
     rf2 = parse_expression("x/(-y)", ("x", "y"))
     assert rf2.den.leading_coefficient() > 0
     assert rf_equal(rf2, parse_expression("-x/y", ("x", "y")))
+    with pytest.raises(ValueError):
+        Polynomial(("x",), {}).leading_coefficient()
+    # equal canonical forms hash alike, so sets and dict keys merge them
+    same = parse_expression("(x+1)/(2*y)", ("x", "y"))
+    assert {rf, same} == {rf} and {rf.num, same.num} == {rf.num}
+    assert repr(rf.den) == "Polynomial(2*y)"
 
 
 small_fracs = st.fractions(

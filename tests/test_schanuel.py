@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from orbitheight.errors import BudgetExceeded, InvalidParameter
 from orbitheight.schanuel import (
+    MAX_DIMENSION,
     analytic_constant,
     count_points,
     count_points_mobius,
@@ -109,11 +110,25 @@ def test_budget():
         count_points(3, 1000)
     with pytest.raises(BudgetExceeded):
         count_points(1, 10, budget=100)
+    # the box 21^2 = 441 sits at the budget's bit length, so its exact size decides
+    with pytest.raises(BudgetExceeded):
+        count_points(1, 10, budget=440)
+    assert count_points(1, 10, budget=441).count == count_points_oracle(1, 10)
+    # a box of about 10^2600000 is refused by its bit length, never built
+    start = time.process_time()
+    with pytest.raises(BudgetExceeded):
+        count_points(MAX_DIMENSION, 10**4000)
+    assert time.process_time() - start < 0.1
 
 
 def test_invalid_parameters():
     with pytest.raises(InvalidParameter):
         count_points(0, 5)
+    # at B = 1 the ratio is (3^(n+1) - 1)/2, a double only up to MAX_DIMENSION
+    top = (3 ** (MAX_DIMENSION + 1) - 1) // 2
+    assert count_points(MAX_DIMENSION, 1, budget=10**500).ratio == float(top)
+    with pytest.raises(InvalidParameter):
+        count_points(MAX_DIMENSION + 1, 1, budget=10**500)
     with pytest.raises(InvalidParameter):
         count_points(1, 0)
     with pytest.raises(InvalidParameter):
