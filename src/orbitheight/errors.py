@@ -122,5 +122,9 @@ class HypothesisViolated(ValidationError):
 
 class BudgetExceeded(OrbitHeightError):
     def __init__(self, budget: int):
-        super().__init__(f"box (2B+1)^(n+1) has more than the budget of {budget} vectors")
+        try:
+            text = f"{budget} vectors"
+        except ValueError:  # past the int-to-str limit
+            text = f"a {budget.bit_length()}-bit number of vectors"
+        super().__init__(f"box (2B+1)^(n+1) has more than the budget of {text}")
         self.budget = budget

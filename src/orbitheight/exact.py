@@ -22,8 +22,8 @@ report is joined by :func:`report_csv` from rows of str fields.  The same
 rule holds for P^1 values: orbit traces and grids keep them as canonical
 pairs (p, q) with heights from :func:`height_pair`, and build `P1Value`
 objects only for the rows read.
-A trace that reads only heights may carry :class:`Interval` enclosures of
-its values instead, whose leading bits certify each height.
+A trace that reads only heights turns values past `_BITS` bits into
+:class:`Interval` enclosures, whose leading bits certify each height.
 """
 
 from __future__ import annotations
@@ -179,7 +179,8 @@ def height_pair(p, q) -> float:
     size or Intervals around them.  CPython's `math.log` of an int reads
     only the double x * 2^k it rounds to (frexp form): log(ldexp(x, k)) for
     k <= 1024, log(x) + log(2.0) * k above.  So an enclosure of max(|p|, |q|)
-    gives the height when its ends round to one double, else Uncertain."""
+    gives the height when its ends round to one double, else Uncertain, and
+    ValueTooLarge when k is past the double range."""
     if type(p) is int and type(q) is int:
         return math.log(max(abs(p), abs(q)))
     p, q = (v if v >= 0 else -v for v in map(Interval.of, (p, q)))
@@ -188,7 +189,11 @@ def height_pair(p, q) -> float:
     if (x, k) != high:
         raise Uncertain("the ends of an interval round to different doubles")
     k += m.e
-    return math.log(math.ldexp(x, k)) if k <= 1024 else math.log(x) + math.log(2.0) * k
+    try:
+        return math.log(math.ldexp(x, k)) if k <= 1024 else math.log(x) + math.log(2.0) * k
+    except OverflowError:  # from float(k), which math.log's rule needs
+        raise ValueTooLarge(f"a value of at least 2^{k.bit_length() - 1} bits has a bit "
+                            "count past the double range, and so no height") from None
 
 
 _BITS = 160  # bits per end of an Interval: 53 for a double, the rest for widening
@@ -203,7 +208,7 @@ class Interval:
     """A real in [lo * 2^e, hi * 2^e] for ints lo <= hi of at most about
     `_BITS` bits, rounded outward by each operation; exact when lo == hi, so
     exact zeros stay exact.  It has the operators that compiled forms and
-    `_IntForm.value` apply, and a comparison it cannot decide raises Uncertain."""
+    `_IntForm.value` apply; an undecided comparison, `%` and math.gcd raise Uncertain."""
 
     __slots__ = ("lo", "hi", "e")
 
@@ -249,8 +254,13 @@ class Interval:
     __rmul__ = __mul__  # coefficient * power in the compiled forms
 
     def __floordiv__(self, unit: int) -> "Interval":
-        # `value` divides by its g, which is +-1 wherever it skips the gcd
+        # `value` divides an interval only by g = +-1: a gcd raises Uncertain
         return self * unit
+
+    def __index__(self, *_):  # what math.gcd reads; `%` below takes a second argument
+        raise Uncertain("an interval holds no exact int for a gcd")
+
+    __mod__ = __index__
 
     def __pow__(self, k: int) -> "Interval":
         return math.prod([self] * k, start=Interval(1, 1))

@@ -1,10 +1,12 @@
 """Heights certified from interval enclosures against the exact path.
 
-A `gap` job without `ell` runs its orbit on `exact.Interval` values when no
-value needs a gcd and the map has degree >= 2.  Its heights come from
-`height_pair`'s rule for `math.log` of an int, and must be the floats the
-exact path gives, so that the reports are byte-identical; where an interval
-cannot decide, the job runs again exactly.  The rule is checked against
+A `gap` job without `ell` starts its orbit on ints and turns its state
+into `exact.Interval` values at the first step where a coordinate passes
+160 bits.  Its heights come from `height_pair`'s rule for `math.log` of an
+int, and must be the floats the exact path gives, so that the reports are
+byte-identical.  Where an interval cannot decide a sign or a rounding, or
+where a value needs a gcd, which `Interval` refuses as it refuses `%` and
+`__index__`, the job runs again exactly.  The rule is checked against
 `math.log` itself, the intervals against exact int arithmetic, and the
 reports against the same jobs forced onto the exact path.
 """
@@ -12,16 +14,17 @@ reports against the same jobs forced onto the exact path.
 import json
 import math
 import random
+import statistics
 import time
 from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import event, given, settings, strategies as st
+from hypothesis import assume, event, given, settings, strategies as st
 
 from orbitheight import orbit as orbit_mod
 from orbitheight.cli import _build, run_job
-from orbitheight.errors import OrbitHeightError
+from orbitheight.errors import OrbitHeightError, ValueTooLarge
 from orbitheight.exact import Interval, Uncertain, height_pair
 from orbitheight.orbit import iterate_orbit
 from orbitheight.poly import parse_expression, parse_map
@@ -76,6 +79,19 @@ def test_height_rule_refuses_an_undecided_rounding(m):
         height_pair(Interval.of(undecided), 1)
 
 
+def test_height_rule_past_the_double_range():
+    """math.log's rule log(x) + log(2.0) * k needs the bit count k as a
+    double: where k rounds to 2^1024 or more, height_pair raises
+    ValueTooLarge.  Just below, k rounds to the largest double."""
+    tie = 2**1024 - 2**970  # halfway between the largest double and 2^1024
+    # Interval(1, 1, e) is 2^e, whose frexp exponent k is e + 1
+    k = tie - 1  # rounds down to the largest double
+    assert height_pair(Interval(1, 1, k - 1), 1) == math.log(0.5) + math.log(2.0) * k
+    for k in (tie, 2**1024, 2**2000):  # the tie rounds up, to 2^1024
+        with pytest.raises(ValueTooLarge, match="bit count past the double range"):
+            height_pair(Interval(1, 1, k - 1), Interval.of(3))
+
+
 def _encloses(x: Interval, n: int) -> bool:
     return x.lo << x.e <= n <= x.hi << x.e
 
@@ -113,23 +129,33 @@ def _report(job: dict) -> str:
 
 
 def _exact_report(job: dict) -> str:
-    with mock.patch.object(orbit_mod, "_on_intervals", return_value=False):
+    """The report of the job with its orbit forced onto ints throughout."""
+    trace = orbit_mod._trace
+    with mock.patch.object(orbit_mod, "_trace", lambda *args: trace(*args[:4])):
         return _report(job)
 
 
-def _report_and_paths(job: dict) -> tuple[str, list, float]:
-    """The job's report, the number types its orbit ran on, in order, and
-    the largest height of the orbit."""
-    numbers, heights, trace = [], [0.0], orbit_mod._trace
+def _report_and_outcome(job: dict) -> tuple[str, str, float]:
+    """The job's report, its outcome ("ints only", "promoted", or "fell back:"
+    and what the intervals could not decide) and the largest height of the
+    orbit."""
+    runs, heights, trace = [], [0.0], orbit_mod._trace
 
-    def spy(phi, observable, start, n_max, number):
-        numbers.append(number)
-        result = trace(phi, observable, start, n_max, number)
+    def spy(phi, observable, start, n_max, promote=False):
+        try:
+            result = trace(phi, observable, start, n_max, promote)
+        except Uncertain as exc:
+            runs.append(f"fell back: {exc}")
+            raise
+        on_intervals = any(type(state[0][0]) is Interval for state in result.states)
+        runs.append("promoted" if on_intervals else "ints only" if promote else "exact")
         heights.extend(result.h)
         return result
 
     with mock.patch.object(orbit_mod, "_trace", spy):
-        return _report(job), numbers, max(heights)
+        report = _report(job)
+    assert runs in (["ints only"], ["promoted"]) or runs[1:] == ["exact"], runs
+    return report, runs[0], max(heights)
 
 
 def _gap_job(variables, maps, observable, start, n_max):
@@ -164,6 +190,27 @@ def resultant_one_jobs(draw):
 
 
 @st.composite
+def quotient_jobs(draw):
+    """One-variable quotients (x^2+ax+b)/(cx+d) with resultant R > 1, whose
+    values need a gcd mod R once they pass 160 bits, from rational starts."""
+    a, b, c, d = draw(coefficients), draw(coefficients), draw(st.integers(1, 3)), draw(coefficients)
+    assume(abs(d * d - a * c * d + b * c * c) > 1)  # |R| = |c^2 num(-d/c)|
+    start = Fraction(draw(st.integers(-40, 40)), draw(st.integers(1, 40)))
+    observable = draw(st.sampled_from(["x", "1/x", "x^2-x+1"]))
+    return _gap_job(("x",), [f"(x^2+({a})*x+({b}))/(({c})*x+({d}))"], observable, [start],
+                    draw(st.integers(6, 11)))
+
+
+@st.composite
+def product_jobs(draw):
+    """(x, y) -> (y, x*y+1) from rational starts: two-variable forms have no
+    resultant, so a den other than 1 takes a full gcd."""
+    start = [Fraction(draw(st.integers(-9, 9)), draw(st.integers(1, 9))) for _ in "xy"]
+    observable = draw(st.sampled_from(["y", "x/y", "x*y-1"]))
+    return _gap_job(("x", "y"), ["y", "x*y+1"], observable, start, draw(st.integers(10, 18)))
+
+
+@st.composite
 def polynomial_jobs(draw):
     """Integral polynomial maps in one or two variables, of degree 2 through
     a square in the first component, from integral starts."""
@@ -180,12 +227,11 @@ def polynomial_jobs(draw):
     return _gap_job(variables, maps, polynomial(), start, draw(st.integers(6, 10)))
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.one_of(resultant_one_jobs(), polynomial_jobs()))
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(resultant_one_jobs(), polynomial_jobs(), quotient_jobs(), product_jobs()))
 def test_gap_reports_match_the_exact_path(job):
-    report, numbers, height = _report_and_paths(job)
-    event({(int,): "exact path", (Interval.of,): "intervals",
-           (Interval.of, int): "fell back"}[tuple(numbers)])
+    report, outcome, height = _report_and_outcome(job)
+    event(outcome)
     event("values past 160 bits" if height > 160 * math.log(2) else "values within 160 bits")
     assert report == _exact_report(job)
 
@@ -194,8 +240,8 @@ def test_cancellation_falls_back_to_exact():
     """y - x = 1 at every step, which the intervals of x^2 and x^2 + 1 past
     160 bits cannot tell from 0: the job runs again exactly."""
     job = _gap_job(("x", "y"), ["x^2", "x^2+1"], "y-x", [3, 10], 12)
-    report, numbers, _ = _report_and_paths(job)
-    assert numbers == [Interval.of, int]
+    report, outcome, _ = _report_and_outcome(job)
+    assert outcome == "fell back: an interval holds both signs"
     assert report == _exact_report(job)
     assert '"tail_sup": "0.000000"' in report
 
@@ -218,15 +264,38 @@ def test_gap_past_the_reach_of_exact_values(tmp_path):
     assert heights[60] / heights[59] == pytest.approx(2)
 
 
-@pytest.mark.parametrize("maps, observable, start, expected", [
-    (["x^2+1"], "x", ["1/3"], True),  # resultant 1
-    (["(x^2+1)/(x+2)"], "x", ["1/3"], False),  # resultant 5: a gcd mod 5
-    (["y", "x*y+1"], "y", ["3", "4"], True),  # polynomial, integral start
-    (["y", "x*y+1"], "y", ["3", "1/4"], False),  # x*y+1 has no resultant: a full gcd
-    (["y", "x*y+1"], "y/2", ["3", "4"], False),  # a den other than 1
-    (["x+1"], "x", ["0"], False),  # degree 1: values stay small
-])
-def test_which_orbits_run_on_intervals(maps, observable, start, expected):
-    variables = ("x", "y")[:len(maps)]
-    phi, f = parse_map(maps, variables), parse_expression(observable, variables)
-    assert orbit_mod._on_intervals(phi, f, [Fraction(c) for c in start]) is expected
+GCD = "fell back: an interval holds no exact int for a gcd"
+
+
+@pytest.mark.parametrize("maps, observable, start, n_max, expected", [
+    (["x^2+1"], "x", ["1/3"], 12, "promoted"),  # resultant 1
+    (["(x^2+1)/(x+2)"], "x", ["1/3"], 12, GCD),  # resultant 5: num % 5
+    (["y", "x*y+1"], "y", ["3", "4"], 15, "promoted"),  # polynomial, integral start
+    (["y", "x*y+1"], "y", ["3", "1/4"], 15, GCD),  # x*y+1 has no resultant: math.gcd
+    (["y", "x*y+1"], "y/2", ["3", "4"], 15, GCD),  # y/2 has resultant 2 and den 2
+    (["x+1"], "x", ["0"], 50, "ints only"),  # degree 1: values stay small
+    (["x^2-1"], "x", ["0"], 50, "ints only"),  # the cycle 0, -1
+], ids=["square", "quotient", "product", "product-rational", "product-halved", "shift",
+        "cycle"])
+def test_which_orbits_are_promoted(maps, observable, start, n_max, expected):
+    """Every gap job without ell starts on ints; a value past 160 bits turns
+    the state into intervals, and a gcd on them sends the job back to ints."""
+    job = _gap_job(("x", "y")[:len(maps)], maps, observable, start, n_max)
+    report, outcome, _ = _report_and_outcome(job)
+    assert outcome == expected
+    assert report == _exact_report(job)
+
+
+@pytest.mark.parametrize("maps", [["x^2-1"], ["x+1"]])
+def test_small_orbits_cost_what_exact_ones_do(maps):
+    """An orbit whose values stay small runs on ints either way: the heights
+    only trace pays one bit-length test per step, within 1.5x of the exact
+    path in the median of interleaved runs at N = 2000."""
+    phi, f = parse_map(maps, ("x",)), parse_expression("x", ("x",))
+    times = {True: [], False: []}
+    for _ in range(9):
+        for heights_only in times:
+            t0 = time.perf_counter()
+            iterate_orbit(phi, f, [Fraction(0)], 2000, heights_only=heights_only)
+            times[heights_only].append(time.perf_counter() - t0)
+    assert statistics.median(times[True]) < 1.5 * statistics.median(times[False])

@@ -216,6 +216,20 @@ def test_runtime_indeterminacy_exit_3(tmp_path):
         assert not out_dir.exists()
 
 
+def test_height_past_the_double_range_exit_3(tmp_path, capsys):
+    # x^2 from 2 has 2^n + 1 bits at n, a bit count past the double range at
+    # n = 1024; its certified values are exact intervals, so it gets there at once
+    job = tmp_path / "square.json"
+    job.write_text(json.dumps({"kind": "gap", "variables": ["x"], "map": ["x^2"],
+                               "observable": "x", "start": ["2"], "N": 1030}))
+    out_dir = tmp_path / "out"
+    t0 = time.perf_counter()
+    assert main(["run", str(job), "--out", str(out_dir)]) == 3
+    assert time.perf_counter() - t0 < 1.0
+    assert "bit count past the double range" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_budget_exit_3(tmp_path, capsys, int_str_limit):
     # boxes of about 10^12, 10^4400 and 10^2600000 vectors: the last two are
     # past the int-to-str limit, and none of them is built

@@ -1,4 +1,5 @@
 import math
+import sys
 import time
 
 import pytest
@@ -119,6 +120,23 @@ def test_budget():
     with pytest.raises(BudgetExceeded):
         count_points(MAX_DIMENSION, 10**4000)
     assert time.process_time() - start < 0.1
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="this interpreter has no int-to-str digit limit")
+def test_budget_past_the_int_to_str_limit():
+    """The error names a budget of more digits than the int-to-str limit
+    by its bit length, and a smaller one in decimal, as before."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        with pytest.raises(BudgetExceeded, match="budget of a 14617-bit number of vectors$"):
+            count_points(1, 10**5000, budget=10**4400)
+    finally:
+        sys.set_int_max_str_digits(old)
+    with pytest.raises(BudgetExceeded, match=r"^box \(2B\+1\)\^\(n\+1\) has more than the "
+                                             r"budget of 100 vectors$"):
+        count_points(1, 10, budget=100)
 
 
 def test_invalid_parameters():
