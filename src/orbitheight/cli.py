@@ -13,8 +13,9 @@ in memory first, so a failed run writes nothing, and each is then written
 over the old report in place, without truncating it first, so a run killed
 mid-write can leave the new report followed by stale rows of the old one
 (see `_write_report`).  Every CSV report is joined by
-`exact.report_csv`.  Map jobs (orbit, gap, dml, commuting) are read by one
-parser, `_parse_map_job`.
+`exact.report_csv`.  `run` and `validate` load a job by one function,
+`_load_job`, whose builders read each field once, as the type the run needs.
+Map jobs (orbit, gap, dml, commuting) are read by one parser, `_parse_map_job`.
 Exit codes: 0 success, 2 validation error (bad JSON, schema, expressions,
 a field of the wrong JSON type), 3 runtime error (indeterminacy, budget,
 missing terms, a report that cannot be written).
@@ -74,25 +75,34 @@ def _parse_map_job(job: dict, several: bool = False, observable: bool = True):
     maps = [parse_map(m, variables) for m in texts]
     _require(all(len(phi.components) == len(variables) for phi in maps),
              "each map must be a self-map")
-    obs = parse_expression(str(job.get("observable", "")), variables) if observable else None
+    obs = job.get("observable")
+    _require(not observable or isinstance(obs, str), "'observable' must be an expression string")
+    obs = parse_expression(obs, variables) if observable else None
     start = job.get("start")
-    _require(isinstance(start, list) and len(start) == len(variables),
-             f"'start' must be a list of {len(variables)} rationals")
-    start = tuple(parse_rational(str(c)) for c in start)
+    _require(_is_str_list(start) and len(start) == len(variables),
+             f"'start' must be a list of {len(variables)} rationals written as strings")
+    start = tuple(parse_rational(c) for c in start)
     return tuple(variables), maps if several else maps[0], obs, start
 
 
-def _is_number(x, kinds=(int, float)) -> bool:
-    """A JSON number of one of kinds; true, false, NaN and Infinity are not numbers."""
-    return type(x) in kinds and (type(x) is int or math.isfinite(x))
+def _real(value, key: str) -> float:
+    """A JSON number (not true, false, NaN or Infinity) as the finite double it converts to."""
+    try:
+        value = float(value) if type(value) in (int, float) else math.nan
+    except OverflowError:  # an int past the double range
+        value = math.inf
+    _require(math.isfinite(value), f"'{key}' takes JSON numbers within the double range")
+    return value
 
 
-def _int_param(job: dict, key: str, default=None, minimum=None):
+def _int_param(job: dict, key: str, default=None, minimum=None, maximum=None):
     value = job.get(key, default)
     _require(value is not None, f"missing required field '{key}'")
-    _require(_is_number(value, (int,)), f"'{key}' must be an integer")
+    _require(type(value) is int, f"'{key}' must be an integer")
     if minimum is not None:
         _require(value >= minimum, f"'{key}' must be >= {minimum}")
+    if maximum is not None:
+        _require(value <= maximum, f"'{key}' must be <= {maximum}")
     return value
 
 
@@ -125,23 +135,19 @@ def _build_gap(job: dict, budget: int):
     _, phi, observable, start = _parse_map_job(job)
     n0 = _int_param(job, "N0", default=2, minimum=2)
     n_max = _int_param(job, "N", minimum=n0 + 1)
-    tail_fraction = job.get("tail_fraction", 0.5)
-    _require(_is_number(tail_fraction) and 0 < tail_fraction <= 1,
-             "'tail_fraction' must lie in (0, 1]")
+    tail_fraction = _real(job.get("tail_fraction", 0.5), "tail_fraction")
+    _require(0 < tail_fraction <= 1, "'tail_fraction' must lie in (0, 1]")
     curve_constants = job.get("curve_constants", [])
-    _require(isinstance(curve_constants, list)
-             and all(_is_number(c) for c in curve_constants),
-             "'curve_constants' must be a list of numbers")
+    _require(isinstance(curve_constants, list), "'curve_constants' must be a list of numbers")
+    curve_constants = [_real(c, "curve_constants") for c in curve_constants]
     ell = job.get("ell")
     if ell is not None:
-        ell = _int_param(job, "ell", minimum=0)
+        ell = _int_param(job, "ell", minimum=0, maximum=n_max)
 
     def run():
         trace = orbit_mod.iterate_orbit(phi, observable, start, n_max, heights_only=ell is None)
         report = orbit_mod.gap_diagnostics(
-            trace, n0=n0, tail_fraction=float(tail_fraction),
-            curve_constants=[float(c) for c in curve_constants],
-        )
+            trace, n0=n0, tail_fraction=tail_fraction, curve_constants=curve_constants)
         payload = {
             "kind": "gap",
             "horizon": trace.horizon,
@@ -174,9 +180,8 @@ def _build_dfinite(job: dict, budget: int):
     rec = dfinite_mod.parse_recurrence_job(job)
     n0 = _int_param(job, "N0", default=10, minimum=2)
     n_max = _int_param(job, "N", default=500, minimum=n0 + 1)
-    epsilon = job.get("epsilon", 0.5)
-    _require(_is_number(epsilon) and epsilon > 0,
-             "'epsilon' must be a positive number")
+    epsilon = _real(job.get("epsilon", 0.5), "epsilon")
+    _require(epsilon > 0, "'epsilon' must be a positive number")
 
     def rows(terms):
         for n, t in enumerate(terms):
@@ -186,7 +191,7 @@ def _build_dfinite(job: dict, budget: int):
 
     def run():
         terms = dfinite_mod.expand_terms(rec, n_max)
-        verdict = dfinite_mod.classify_height_growth(terms, epsilon=float(epsilon), n0=n0)
+        verdict = dfinite_mod.classify_height_growth(terms, epsilon=epsilon, n0=n0)
         report = report_csv(("n", "term", "height", "ratio"), rows(terms))
         payload = {
             "kind": "dfinite",
@@ -221,11 +226,10 @@ def _build_density(job: dict, budget: int):
 
 
 def _build_schanuel(job: dict, budget: int):
-    n = _int_param(job, "n", minimum=1)
-    _require(n <= schanuel_mod.MAX_DIMENSION, f"'n' must be <= {schanuel_mod.MAX_DIMENSION}")
+    n = _int_param(job, "n", minimum=1, maximum=schanuel_mod.MAX_DIMENSION)
     bounds = job.get("B_list")
     _require(isinstance(bounds, list) and bounds
-             and all(_is_number(b, (int,)) and b >= 1 for b in bounds),
+             and all(type(b) is int and b >= 1 for b in bounds),
              "'B_list' must be a nonempty list of bounds >= 1")
 
     def run():
@@ -276,10 +280,11 @@ def _build_dml(job: dict, budget: int):
 
 def _build_commuting(job: dict, budget: int):
     _, maps, observable, start = _parse_map_job(job, several=True)
-    n_max = _int_param(job, "N", minimum=2)
-    commuting_mod.check_grid_size(len(maps), n_max)
     n0 = _int_param(job, "N0", default=2, minimum=2)
+    n_max = _int_param(job, "N", minimum=n0)
+    commuting_mod.check_grid_size(len(maps), n_max)
     norms = EventuallyPeriodicSet.from_json(job["T"]) if "T" in job else NATURALS
+    _require(any(s in norms for s in range(n0, n_max + 1)), f"'T' holds no norm in [{n0}, {n_max}]")
 
     def run():
         mtrace = commuting_mod.grid_orbit(maps, observable, start, n_max)
@@ -320,44 +325,34 @@ _BUILDERS = {
 KINDS = tuple(_BUILDERS)
 
 
-def _build(job: dict, budget: int):
-    """Build phase: anything that fails here is a validation error (exit 2),
-    including expression-level problems like identically-zero denominators."""
+def _load_job(name: str, budget: int):
+    """Read, parse and build the job at a path or catalog name, as (stem,
+    default out dir, runner).  Anything that fails here is a validation
+    error (exit 2), including expression-level problems like
+    identically-zero denominators."""
+    path = Path(name)
+    if path.exists():
+        stem, source, default_dir = path.name.removesuffix(".json"), path, path.parent
+    else:
+        stem, default_dir = name, Path.cwd()
+        source = resources.files("orbitheight").joinpath("catalog", f"{name}.json")
+        # a catalog name is one plain file name: no separator, no leading dot
+        _require(name and not name.startswith(".") and "/" not in name and "\\" not in name
+                 and source.is_file(), f"no such job file or catalog entry: {name}")
     try:
-        return _BUILDERS[job["kind"]](job, budget)
+        job = json.loads(source.read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise ValidationError(f"cannot read job file {name}: {exc}") from exc
+    except ValueError as exc:  # not UTF-8, malformed JSON, or an int past the int-from-str limit
+        raise ValidationError(f"malformed JSON in {name}: {exc}") from exc
+    _require(isinstance(job, dict), "job file must contain a JSON object")
+    _require(job.get("kind") in KINDS, f"'kind' must be one of {', '.join(KINDS)}")
+    try:
+        return stem, default_dir, _BUILDERS[job["kind"]](job, budget)
     except ValidationError:
         raise
     except OrbitHeightError as exc:
         raise ValidationError(str(exc)) from exc
-
-
-def _parse_job_text(text: str, source: str) -> dict:
-    try:
-        job = json.loads(text)
-    except ValueError as exc:  # malformed JSON, or an integer past the int-from-str limit
-        raise ValidationError(f"malformed JSON in {source}: {exc}") from exc
-    _require(isinstance(job, dict), "job file must contain a JSON object")
-    kind = job.get("kind")
-    _require(kind in KINDS, f"'kind' must be one of {', '.join(KINDS)}")
-    return job
-
-
-def _read_job_source(name: str) -> tuple[str, str, Path]:
-    """Resolve a path or catalog name to (stem, job text, default out dir)."""
-    path = Path(name)
-    if path.exists():
-        try:
-            text = path.read_text(encoding="utf-8")
-        except OSError as exc:
-            raise ValidationError(f"cannot read job file {path}: {exc}") from exc
-        stem = path.name[: -len(".json")] if path.name.endswith(".json") else path.name
-        return stem, text, path.parent
-    # a catalog name is one plain file name: no separator, no leading dot
-    if name and not name.startswith(".") and "/" not in name and "\\" not in name:
-        entry = resources.files("orbitheight").joinpath("catalog", f"{name}.json")
-        if entry.is_file():
-            return name, entry.read_text(encoding="utf-8"), Path.cwd()
-    raise ValidationError(f"no such job file or catalog entry: {name}")
 
 
 def list_catalog() -> list[str]:
@@ -411,9 +406,7 @@ def run_job(
     nothing is written unless the run completed.
     """
     _require(threads >= 1, "threads must be >= 1")
-    stem, text, default_dir = _read_job_source(str(path))
-    job = _parse_job_text(text, str(path))
-    runner = _build(job, budget)
+    stem, default_dir, runner = _load_job(str(path), budget)
     csv_text, payload = runner()
     json_text = json.dumps(payload, indent=2) + "\n"
 
@@ -428,9 +421,7 @@ def run_job(
 
 def validate_job(path: str | Path) -> None:
     """Schema/expression validation without running the job."""
-    _, text, _ = _read_job_source(str(path))
-    job = _parse_job_text(text, str(path))
-    _build(job, schanuel_mod.DEFAULT_BUDGET)
+    _load_job(str(path), schanuel_mod.DEFAULT_BUDGET)
 
 
 def main(argv=None) -> int:

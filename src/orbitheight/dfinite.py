@@ -253,10 +253,12 @@ def parse_recurrence_job(data: dict) -> PRecurrence:
     """Recurrence from its JSON job form {"order": r, "coeffs": ["p0(n)", ...,
     "pr(n)"], "initial": {"0": "1", ...}, "offset": 0}, the one reader of it.
 
-    `order` and `offset` >= 0 are JSON integers (not true, 1.7 or "2"), and
-    `initial` maps canonical ASCII decimals (int() would merge "0" with "00"
-    or an Arabic-Indic zero) to ASCII rationals (`exact.parse_rational`); a
-    bad field or term raises InvalidParameter.  Each p_k, an expression in n,
+    `order` and `offset` >= 0 are JSON integers (not true, 1.7 or "2"),
+    `coeffs` are strings (`poly.parse_polynomial`), and `initial` maps
+    canonical ASCII decimals (int() would merge "0" with "00" or an
+    Arabic-Indic zero) to ASCII rationals written as strings
+    (`exact.parse_rational`; a JSON number is already rounded to a double);
+    a bad field or term raises InvalidParameter.  Each p_k, an expression in n,
     is scaled by the lcm of their denominators, which keeps the terms and
     makes the coefficients integral.
     """
@@ -267,10 +269,11 @@ def parse_recurrence_job(data: dict) -> PRecurrence:
     if not isinstance(texts, list):
         raise InvalidParameter("'coeffs' must be a list of polynomials in n")
     if not isinstance(initial, dict) or not all(
-            isinstance(k, str) and re.fullmatch("0|[1-9][0-9]*", k) for k in initial):
-        raise InvalidParameter("'initial' must map decimal indices n >= 0 to rationals")
+            isinstance(k, str) and re.fullmatch("0|[1-9][0-9]*", k) and isinstance(v, str)
+            for k, v in initial.items()):
+        raise InvalidParameter("'initial' must map decimal indices n >= 0 to rational strings")
     parsed = [parse_polynomial(text, ("n",)) for text in texts]
     common = math.lcm(*[den for _, den in parsed])
     coeffs = [num.scale(common // den) for num, den in parsed]
-    initial = {int(k): parse_rational(str(v)) for k, v in initial.items()}
+    initial = {int(k): parse_rational(v) for k, v in initial.items()}
     return PRecurrence(order=order, coeffs=tuple(coeffs), initial_terms=initial, offset=offset)

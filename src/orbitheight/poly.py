@@ -665,8 +665,11 @@ def parse_expression(text: str, variables: Sequence[str]) -> RationalFunction:
 
 def parse_polynomial(text: str, variables: Sequence[str]) -> tuple[Polynomial, int]:
     """Parse an expression that must be a polynomial over Q, as (P, d): the
-    polynomial is P/d, P has int coefficients and d is a positive int."""
-    rf = parse_expression(str(text), variables)
+    polynomial is P/d, P has int coefficients and d is a positive int.  Text
+    that is not a str raises InvalidParameter."""
+    if not isinstance(text, str):
+        raise InvalidParameter(f"{text!r} is not an expression string")
+    rf = parse_expression(text, variables)
     if not rf.den.is_constant():
         raise InvalidParameter(f"{text!r} is not a polynomial in {', '.join(variables)}")
     return rf.num, rf.den.constant_value()

@@ -23,7 +23,7 @@ import pytest
 from hypothesis import assume, event, given, settings, strategies as st
 
 from orbitheight import orbit as orbit_mod
-from orbitheight.cli import _build, run_job
+from orbitheight.cli import _BUILDERS, run_job
 from orbitheight.errors import OrbitHeightError, ValueTooLarge
 from orbitheight.exact import Interval, Uncertain, height_pair
 from orbitheight.orbit import iterate_orbit
@@ -122,7 +122,7 @@ def test_interval_operators_enclose_the_exact_result(a, b, k):
 def _report(job: dict) -> str:
     """The csv and json text of a job, or the error it fails with."""
     try:
-        csv_text, payload = _build(job, 10**9)()
+        csv_text, payload = _BUILDERS[job["kind"]](job, 10**9)()
     except OrbitHeightError as exc:
         return f"{type(exc).__name__}: {exc}"
     return csv_text + json.dumps(payload, indent=2)

@@ -169,6 +169,27 @@ def test_malformed_json_exit_2_no_output(tmp_path, capsys):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("text", [
+    b'{"kind": "orbit", "variables": ["x"], "map": ["x+1"], "observable": "x", '
+    b'"start": [1e-400], "N": 3}',
+    b'{"kind": "orbit", "variables": ["x"], "map": ["x+1"], "observable": "x", '
+    b'"start": [0.30000000000000001], "N": 3}',
+    b'{"kind": "dfinite", "order": 1, "coeffs": ["-(n+1)", "1"], "initial": {"0": 1e-400}}',
+    b'{"kind": "orbit", "variables": ["x"], "map": ["x+1"], "observable": "x", '
+    b'"start": ["0"], "N": 3, "\xff": 0}',
+], ids=["start-underflow", "start-rounded", "initial-underflow", "not-utf-8"])
+def test_unreadable_job_text_exit_2_no_output(text, tmp_path):
+    """A rational written as a JSON number, which the JSON parser has
+    already rounded (1e-400 to 0), and a job file that is not UTF-8 exit 2
+    under `validate` and `run` and write nothing."""
+    path = tmp_path / "job.json"
+    path.write_bytes(text)
+    out_dir = tmp_path / "out"
+    assert main(["validate", str(path)]) == 2
+    assert main(["run", str(path), "--out", str(out_dir)]) == 2
+    assert not out_dir.exists()
+
+
 def test_unknown_kind_exit_2(tmp_path):
     job = tmp_path / "weird.json"
     job.write_text('{"kind": "frobnicate"}')
@@ -274,6 +295,8 @@ COMMUTING_JOB = {"kind": "commuting", "variables": ["x", "y"],
                  "maps": [["x+1", "y"], ["x", "y+1"]], "observable": "x*y",
                  "start": ["1", "1"], "N": 4}
 DENSITY_JOB = {"kind": "density", "set": {"modulus": 2, "residues": [0]}}
+DML_JOB = {"kind": "dml", "variables": ["x"], "map": ["x+1"], "start": ["0"],
+           "Y": ["x-3"], "N": 10}
 
 
 def _without(job, key):
@@ -333,6 +356,19 @@ BAD_FIELD_CASES = [
     ({**ORBIT_JOB, "start": ["0", "1e-2000000"]}, {"start": ["0", "1e-2"]}),
     ({**DFINITE_JOB, "initial": {"0": "1e2000000"}}, {"initial": {"0": "1e2"}}),
     ({**DFINITE_JOB, "initial": {"0": "1e-2000000"}}, {"initial": {"0": "1e-2"}}),
+    # real fields past the double range, which float() cannot convert
+    ({**GAP_JOB, "curve_constants": [10**400]}, {"curve_constants": [1.5]}),
+    ({**DFINITE_JOB, "epsilon": 10**400}, {"epsilon": 0.25}),
+    # exact values as JSON numbers, which the JSON parser has already rounded
+    ({**ORBIT_JOB, "start": ["0", 0.5]}, {"start": ["0", "1/2"]}),
+    ({**DFINITE_JOB, "initial": {"0": 1.5}}, {"initial": {"0": "3/2"}}),
+    ({**ORBIT_JOB, "observable": 5}, {"observable": "5"}),
+    ({**DML_JOB, "Y": [0]}, {"Y": ["x-3"]}),
+    ({**DFINITE_JOB, "coeffs": [-1, 1]}, {"coeffs": ["-(n+1)", "1"]}),
+    # cross-field rules that run would break on
+    ({**COMMUTING_JOB, "N0": 9}, {"N0": 4}),
+    ({**COMMUTING_JOB, "T": {"modulus": 100, "residues": [50]}}, {"N": 50}),
+    ({**GAP_JOB, "ell": 11}, {"ell": 10}),
 ]
 BAD_FIELD_IDS = [
     "B_list", "schanuel-n-646", "schanuel-n-10000", "tail_fraction", "curve_constants",
@@ -346,17 +382,21 @@ BAD_FIELD_IDS = [
     "residues-true", "maps-over-limit", "norm-over-limit", "start-arabic-indic",
     "initial-arabic-indic-term", "dfinite-N-below-N0", "gap-N-equal-N0",
     "start-exponent-large", "start-exponent-small", "initial-exponent-large",
-    "initial-exponent-small"]
+    "initial-exponent-small", "curve_constants-overflow", "epsilon-overflow", "start-float",
+    "initial-float", "observable-number", "Y-number", "coeffs-number", "commuting-N-below-N0",
+    "commuting-T-no-norm", "gap-ell-above-N"]
 
 
 @pytest.mark.parametrize("job, fixed", BAD_FIELD_CASES, ids=BAD_FIELD_IDS)
 def test_non_numeric_field_exit_2_no_output(job, fixed, tmp_path):
     """A field of the wrong JSON type or shape exits 2 without output (true,
-    NaN and Infinity are not numbers, "2" is not an integer, a string is not
-    a list, an index or rational is written in ASCII digits, an index
-    without leading zeros), and so does a point count in a dimension past
-    645, a grid past the fixed limits, a horizon N <= N0 or a rational
-    with a decimal exponent past 9999, all
+    NaN, Infinity and an int past the double range are not real numbers, "2"
+    is not an integer, a string is not a list, a rational or expression is a
+    string and not a JSON number, an index or rational is written in ASCII
+    digits, an index without leading zeros), and so does a point count in a
+    dimension past 645, a grid past the fixed limits, a horizon N <= N0 (N <
+    N0 for commuting), a commuting set T with no norm in [N0, N], a gap
+    window ell > N or a rational with a decimal exponent past 9999, all
     within a second; the same job with a well-formed field runs.  `validate`
     gives the same exit code as `run` on both."""
     path = tmp_path / "bad.json"
