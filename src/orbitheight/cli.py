@@ -180,6 +180,7 @@ def _build_dfinite(job: dict, budget: int):
     rec = dfinite_mod.parse_recurrence_job(job)
     n0 = _int_param(job, "N0", default=10, minimum=2)
     n_max = _int_param(job, "N", default=500, minimum=n0 + 1)
+    rec.check_terms(n_max)
     epsilon = _real(job.get("epsilon", 0.5), "epsilon")
     _require(epsilon > 0, "'epsilon' must be a positive number")
 

@@ -58,8 +58,25 @@ class PRecurrence:
         if len(p.variables) != 1:
             raise InvalidParameter("coefficients must be univariate")
         return sorted(
-            m for m in _root_floors(p) if m >= self.offset and p.pair_at(((m, 1),))[0] == 0
+            m for m in _root_floors(p) if m >= self.offset and _at(p, m) == 0
         )
+
+    def check_terms(self, n_max: int) -> None:
+        """Raise for the first term that expanding a_0..a_n_max needs and
+        `initial_terms` lacks: MissingInitialTerm for an index below offset +
+        order, MissingSingularTerm(s) for a_{s + order} at a singular index s."""
+        for n in range(min(self.offset + self.order, n_max + 1)):
+            if n not in self.initial_terms:
+                raise MissingInitialTerm(n)
+        for s in self.singular_indices():
+            if s + self.order <= n_max and s + self.order not in self.initial_terms:
+                raise MissingSingularTerm(s)
+
+
+def _at(p: Polynomial, m: int) -> int:
+    """The univariate p at the integer m, summed directly: a build-time check
+    evaluates p a few times, fewer than would repay compiling its form."""
+    return sum(c * m**e for (e,), c in p.terms.items())
 
 
 def _root_floors(p: Polynomial) -> set[int]:
@@ -80,12 +97,12 @@ def _root_floors(p: Polynomial) -> set[int]:
     breaks = sorted(b for b in _root_floors(derivative) if -bound <= b <= bound)
     floors = set(breaks)
     for a, b in zip([-bound] + [x + 1 for x in breaks], breaks + [bound]):
-        sign = p.pair_at(((a, 1),))[0]
-        if a <= b and sign * p.pair_at(((b, 1),))[0] <= 0:  # a root in [a, b]
+        sign = _at(p, a)
+        if a <= b and sign * _at(p, b) <= 0:  # a root in [a, b]
             while b - a > 1 and sign:
                 mid = (a + b) // 2
-                a, b = (mid, b) if sign * p.pair_at(((mid, 1),))[0] > 0 else (a, mid)
-            floors.add(b if sign and p.pair_at(((b, 1),))[0] == 0 else a)
+                a, b = (mid, b) if sign * _at(p, mid) > 0 else (a, mid)
+            floors.add(b if sign and _at(p, b) == 0 else a)
     return floors
 
 
@@ -121,23 +138,19 @@ def expand_terms(rec: PRecurrence, n_max: int) -> list[Fraction]:
     Terms below offset + order come from initial data; from there each term
     a_{n+r} is one orbit step of the last component of the recurrence map at
     (n, a_n, ..., a_{n+r-1}), except at singular indices, where that step is
-    undefined (p_r(n) = 0) and the stored replacement term is used.
+    undefined (p_r(n) = 0) and the stored replacement term is used.  A term
+    that is needed and not supplied raises before any step
+    (`PRecurrence.check_terms`).
     """
+    rec.check_terms(n_max)
     r = rec.order
-    terms: list[tuple[int, int]] = []  # reduced (numerator, denominator > 0)
-    for n in range(min(rec.offset + r, n_max + 1)):
-        if n not in rec.initial_terms:
-            raise MissingInitialTerm(n)
-        terms.append(as_pair(rec.initial_terms[n]))
+    # reduced (numerator, denominator > 0)
+    terms = [as_pair(rec.initial_terms[n]) for n in range(min(rec.offset + r, n_max + 1))]
     phi = _recurrence_map(rec)
     next_term = RationalMap(phi.variables, phi.components[-1:])
     for n in range(rec.offset, n_max + 1 - r):
-        value = step(next_term, ((n, 1), *terms[n : n + r]))
-        if value is None:
-            if n + r not in rec.initial_terms:
-                raise MissingSingularTerm(n)
-            value = (as_pair(rec.initial_terms[n + r]),)
-        terms += value
+        value = step(next_term, ((n, 1), *terms[n : n + r]))  # None at a singular index
+        terms += value or (as_pair(rec.initial_terms[n + r]),)
     return [Fraction(u, v) for u, v in terms[: n_max + 1]]
 
 

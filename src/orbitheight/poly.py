@@ -45,6 +45,7 @@ from .errors import (
     UnknownVariable,
     ZeroDenominator,
 )
+from .exact import format_int
 
 
 def _grlex_key(exponents: tuple[int, ...]):
@@ -335,31 +336,21 @@ class Polynomial:
     # --- serialization ---
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
+        """Terms in descending graded-lex order, in text that parses back to
+        the polynomial: a leading -1 before a power prints as -1*x^2, since
+        the grammar reads -x^2 as (-x)^2."""
+        out = []
         for exps in sorted(self.terms, key=_grlex_key, reverse=True):
             coeff = self.terms[exps]
-            factors = []
-            for name, e in zip(self.variables, exps):
-                if e == 1:
-                    factors.append(name)
-                elif e > 1:
-                    factors.append(f"{name}^{e}")
-            mag = abs(coeff)
-            if not factors:
-                body = str(mag)
-            elif mag == 1:
-                body = "*".join(factors)
+            factors = [v if e == 1 else f"{v}^{e}" for v, e in zip(self.variables, exps) if e]
+            if abs(coeff) != 1 or not factors or (not out and coeff < 0 and "^" in factors[0]):
+                factors.insert(0, format_int(abs(coeff)))
+            body = "*".join(factors)
+            if out:
+                out.append(f"{'-' if coeff < 0 else '+'} {body}")
             else:
-                body = str(mag) + "*" + "*".join(factors)
-            sign = "-" if coeff < 0 else "+"
-            parts.append((sign, body))
-        first_sign, first_body = parts[0]
-        out = ("-" if first_sign == "-" else "") + first_body
-        for sign, body in parts[1:]:
-            out += f" {sign} {body}"
-        return out
+                out.append(("-" if coeff < 0 else "") + body)
+        return " ".join(out) or "0"
 
     def __repr__(self) -> str:
         return f"Polynomial({self})"
@@ -528,130 +519,111 @@ def rf_equal(a: RationalFunction, b: RationalFunction) -> bool:
 
 _OPERATORS = set("+-*/^()")
 _DIGITS = set("0123456789")  # ASCII only: str.isdigit also admits '²' and '٣'
-
-
-class _Tokenizer:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def peek(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-        if self.pos >= len(self.text):
-            return ("end", "", self.pos)
-        ch = self.text[self.pos]
-        if ch in _OPERATORS:
-            return ("op", ch, self.pos)
-        if ch in _DIGITS:
-            j = self.pos
-            while j < len(self.text) and self.text[j] in _DIGITS:
-                j += 1
-            limit = getattr(sys, "get_int_max_str_digits", int)()  # 0: no limit
-            if 0 < limit < j - self.pos:
-                raise ExpressionSyntaxError(f"integer literal of more than {limit} digits", self.pos)
-            return ("int", self.text[self.pos : j], self.pos)
-        if ch.isalpha() or ch == "_":
-            j = self.pos
-            while j < len(self.text) and (self.text[j].isalnum() or self.text[j] == "_"):
-                j += 1
-            return ("ident", self.text[self.pos : j], self.pos)
-        raise ExpressionSyntaxError(f"unexpected character {ch!r}", self.pos)
-
-    def next(self):
-        kind, value, pos = self.peek()
-        self.pos = pos + (len(value) if value else 0)
-        return kind, value, pos
-
-
 _MAX_NESTING = 200
 
 
 class _Parser:
+    """One token of lookahead: `look` gives the current token, which `_read`
+    takes from the text the first time it is looked at, and `take` moves past
+    it.  A token is an operator, an ASCII integer literal, an identifier, or
+    "" at the end; `at` is the position of the last one read."""
+
     def __init__(self, text: str, variables: Sequence[str]):
-        self.tokens = _Tokenizer(text)
+        self.text = text
         self.variables = tuple(variables)
+        self.token: Optional[str] = None  # None until the current token is read
+        self.at = self.end = 0  # where the last token read starts and ends
         self.depth = 0
+
+    def _read(self) -> str:
+        text, i = self.text, self.end
+        while i < len(text) and text[i].isspace():
+            i += 1
+        ch = text[i : i + 1]  # "" at the end
+        j = i + len(ch)
+        if ch in _DIGITS:
+            while j < len(text) and text[j] in _DIGITS:
+                j += 1
+            limit = getattr(sys, "get_int_max_str_digits", int)()  # 0: no limit
+            if 0 < limit < j - i:
+                raise ExpressionSyntaxError(f"integer literal of more than {limit} digits", i)
+        elif ch.isalpha() or ch == "_":
+            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+        elif ch and ch not in _OPERATORS:
+            raise ExpressionSyntaxError(f"unexpected character {ch!r}", i)
+        self.at, self.end = i, j
+        return text[i:j]
+
+    def look(self) -> str:
+        if self.token is None:
+            self.token = self._read()
+        return self.token
+
+    def take(self) -> str:
+        token, self.token = self.look(), None
+        return token
 
     def parse(self) -> RationalFunction:
         result = self.expr()
-        kind, value, pos = self.tokens.peek()
-        if kind != "end":
-            raise ExpressionSyntaxError(f"trailing input {value!r}", pos)
+        if self.look():
+            raise ExpressionSyntaxError(f"trailing input {self.token!r}", self.at)
         return result
-
-    def _enter(self, pos: int) -> None:
-        self.depth += 1
-        if self.depth > _MAX_NESTING:
-            raise ExpressionSyntaxError(
-                f"expression nested deeper than {_MAX_NESTING}", pos
-            )
 
     def expr(self) -> RationalFunction:
         result = self.term()
-        while True:
-            kind, value, _ = self.tokens.peek()
-            if kind == "op" and value in "+-":
-                self.tokens.next()
-                rhs = self.term()
-                result = result + rhs if value == "+" else result - rhs
-            else:
-                return result
+        while self.look() in ("+", "-"):
+            op = self.take()
+            rhs = self.term()
+            result = result + rhs if op == "+" else result - rhs
+        return result
 
     def term(self) -> RationalFunction:
         result = self.factor()
-        while True:
-            kind, value, pos = self.tokens.peek()
-            if kind == "op" and value in "*/":
-                self.tokens.next()
-                rhs = self.factor()
-                if value == "*":
-                    result = result * rhs
-                else:
-                    if rhs.num.is_zero():
-                        raise ZeroDenominator(
-                            f"division by an identically-zero expression (at position {pos})"
-                        )
-                    result = result / rhs
+        while self.look() in ("*", "/"):
+            op, pos = self.take(), self.at
+            rhs = self.factor()
+            if op == "*":
+                result = result * rhs
+            elif rhs.num.is_zero():
+                raise ZeroDenominator(
+                    f"division by an identically-zero expression (at position {pos})"
+                )
             else:
-                return result
+                result = result / rhs
+        return result
 
     def factor(self) -> RationalFunction:
         result = self.base()
-        kind, value, _ = self.tokens.peek()
-        if kind == "op" and value == "^":
-            self.tokens.next()
-            ekind, evalue, epos = self.tokens.next()
-            if ekind != "int":
-                raise ExpressionSyntaxError("exponent must be a nonnegative integer", epos)
-            result = result ** int(evalue)
+        if self.look() == "^":
+            self.take()
+            exponent = self.take()
+            if exponent[:1] not in _DIGITS:
+                raise ExpressionSyntaxError("exponent must be a nonnegative integer", self.at)
+            result = result ** int(exponent)
         return result
 
     def base(self) -> RationalFunction:
-        kind, value, pos = self.tokens.next()
-        if kind == "int":
-            return RationalFunction.constant(self.variables, int(value))
-        if kind == "ident":
-            if value not in self.variables:
-                raise UnknownVariable(value, pos)
-            return RationalFunction.from_polynomial(
-                Polynomial.variable(self.variables, value)
-            )
-        if kind == "op" and value == "(":
-            self._enter(pos)
-            inner = self.expr()
-            self.depth -= 1
-            ckind, cvalue, cpos = self.tokens.next()
-            if not (ckind == "op" and cvalue == ")"):
-                raise ExpressionSyntaxError("expected ')'", cpos)
-            return inner
-        if kind == "op" and value == "-":
-            self._enter(pos)
-            result = -self.base()
+        token = self.take()
+        if token[:1] in _DIGITS:
+            return RationalFunction.constant(self.variables, int(token))
+        if token[:1].isalpha() or token[:1] == "_":
+            if token not in self.variables:
+                raise UnknownVariable(token, self.at)
+            return RationalFunction.from_polynomial(Polynomial.variable(self.variables, token))
+        if token in ("(", "-"):
+            self.depth += 1
+            if self.depth > _MAX_NESTING:
+                raise ExpressionSyntaxError(
+                    f"expression nested deeper than {_MAX_NESTING}", self.at
+                )
+            result = -self.base() if token == "-" else self.expr()
+            if token == "(" and self.take() != ")":
+                raise ExpressionSyntaxError("expected ')'", self.at)
             self.depth -= 1
             return result
         raise ExpressionSyntaxError(
-            f"expected integer, variable, '(' or '-', got {value!r}", pos
+            f"expected integer, variable, '(' or '-', got {token!r}", self.at
         )
 
 

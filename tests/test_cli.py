@@ -369,6 +369,9 @@ BAD_FIELD_CASES = [
     ({**COMMUTING_JOB, "N0": 9}, {"N0": 4}),
     ({**COMMUTING_JOB, "T": {"modulus": 100, "residues": [50]}}, {"N": 50}),
     ({**GAP_JOB, "ell": 11}, {"ell": 10}),
+    # recurrence terms that the horizon needs: a_0, and a_6 past the root of n - 5
+    (_without(DFINITE_JOB, "initial"), {"initial": {"0": "1"}}),
+    ({**DFINITE_JOB, "coeffs": ["-(n+1)", "n-5"]}, {"initial": {"0": "1", "6": "1"}}),
 ]
 BAD_FIELD_IDS = [
     "B_list", "schanuel-n-646", "schanuel-n-10000", "tail_fraction", "curve_constants",
@@ -384,7 +387,10 @@ BAD_FIELD_IDS = [
     "start-exponent-large", "start-exponent-small", "initial-exponent-large",
     "initial-exponent-small", "curve_constants-overflow", "epsilon-overflow", "start-float",
     "initial-float", "observable-number", "Y-number", "coeffs-number", "commuting-N-below-N0",
-    "commuting-T-no-norm", "gap-ell-above-N"]
+    "commuting-T-no-norm", "gap-ell-above-N", "dfinite-missing-initial",
+    "dfinite-missing-singular"]
+# cases that no reader of one field can see: the dfinite terms needed depend on N
+NEEDS_N = {"dfinite-missing-initial", "dfinite-missing-singular"}
 
 
 @pytest.mark.parametrize("job, fixed", BAD_FIELD_CASES, ids=BAD_FIELD_IDS)
@@ -396,7 +402,8 @@ def test_non_numeric_field_exit_2_no_output(job, fixed, tmp_path):
     digits, an index without leading zeros), and so does a point count in a
     dimension past 645, a grid past the fixed limits, a horizon N <= N0 (N <
     N0 for commuting), a commuting set T with no norm in [N0, N], a gap
-    window ell > N or a rational with a decimal exponent past 9999, all
+    window ell > N, a recurrence term that the horizon N needs and the job
+    does not supply, or a rational with a decimal exponent past 9999, all
     within a second; the same job with a well-formed field runs.  `validate`
     gives the same exit code as `run` on both."""
     path = tmp_path / "bad.json"
@@ -424,7 +431,7 @@ def _read_fields(job: dict):
 
 @pytest.mark.parametrize("job, fixed", [
     pytest.param(*case, id=name) for case, name in zip(BAD_FIELD_CASES, BAD_FIELD_IDS)
-    if case[1].keys() & READER_FIELDS
+    if case[1].keys() & READER_FIELDS and name not in NEEDS_N
 ])
 def test_library_readers_reject_what_the_cli_rejects(job, fixed):
     """Each bad recurrence or set field above fails in the library reader
@@ -617,19 +624,6 @@ def test_failed_run_leaves_old_reports_untouched(tmp_path):
     assert sorted(out_dir.iterdir()) == sorted(old)
 
 
-@pytest.fixture
-def int_str_limit():
-    """Pin CPython's int-to-str digit limit at its default for one test."""
-    if not hasattr(sys, "get_int_max_str_digits"):
-        pytest.skip("this interpreter has no int-to-str digit limit")
-    old = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(4300)
-    try:
-        yield 4300
-    finally:
-        sys.set_int_max_str_digits(old)
-
-
 @pytest.mark.parametrize("job", [
     # values of x^2+1 from 1/3 pass 4300 digits at n = 13
     {"kind": "orbit", "variables": ["x"], "map": ["x^2+1"],
@@ -637,7 +631,11 @@ def int_str_limit():
     # the factorial job: n! passes 4300 digits before n = 2000
     {"kind": "dfinite", "order": 1, "coeffs": ["-(n+1)", "1"],
      "initial": {"0": "1"}, "offset": 0, "N": 2000},
-], ids=["orbit-square", "factorial"])
+    # the check of x -> 1 against this map composes to 1/0, and the message
+    # that names the map prints a coefficient of 6000 digits
+    {"kind": "commuting", "variables": ["x"], "maps": [["(" + "9" * 3000 + "*x)^2/(x-1)"], ["1"]],
+     "observable": "x", "start": ["2"], "N": 3},
+], ids=["orbit-square", "factorial", "coefficient-in-message"])
 def test_value_past_int_str_limit_exit_3_no_output(job, tmp_path, capsys, int_str_limit):
     path = tmp_path / "huge.json"
     path.write_text(json.dumps(job))

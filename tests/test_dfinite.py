@@ -111,6 +111,18 @@ def test_missing_singular_term():
     assert exc.value.n == 3
 
 
+def test_check_terms_names_the_first_missing_term():
+    rec = parse_recurrence_job({"order": 1, "coeffs": ["-(n+1)", "n-5"], "initial": {"0": "1"}})
+    rec.check_terms(5)  # a_6, past the singular index 5, is not needed up to n = 5
+    with pytest.raises(MissingSingularTerm) as exc:
+        rec.check_terms(6)
+    assert exc.value.n == 5
+    assert str(exc.value) == "trailing coefficient vanishes at n=5; supply the term it would define"
+    with pytest.raises(MissingInitialTerm) as exc:
+        parse_recurrence_job({"order": 1, "coeffs": ["-(n+1)", "1"]}).check_terms(30)
+    assert exc.value.n == 0 and str(exc.value) == "initial term a_0 not supplied"
+
+
 def test_singular_expansion():
     terms = expand_terms(singular_step(), 6)
     assert terms[:4] == [1, Fraction(-1, 3), Fraction(1, 3), -1]

@@ -11,6 +11,7 @@ from orbitheight.errors import (
     UnknownVariable,
     ZeroDenominator,
 )
+from orbitheight import poly
 from orbitheight.exact import as_pair
 from orbitheight.orbit import step
 from orbitheight.poly import (
@@ -40,24 +41,57 @@ def test_parse_examples():
     with pytest.raises(ZeroDenominator):
         parse_expression("1/0", ("x",))
 
+    # -x^2 reads as (-x)^2, so a leading -1 before a power prints as a coefficient
+    assert str(parse_expression("1-x^2", ("x",))) == "-1*x^2 + 1"
+    assert str(parse_map(["1-x^2", "-x*y^2"], ("x", "y"))) == "(-1*x^2 + 1, -x*y^2)"
 
-def test_parse_errors():
-    with pytest.raises(UnknownVariable) as exc:
-        parse_expression("x + w", XYZ)
-    assert exc.value.position == 4
 
-    with pytest.raises(ExpressionSyntaxError):
-        parse_expression("x +", XYZ)
-    with pytest.raises(ExpressionSyntaxError):
-        parse_expression("(x", XYZ)
-    with pytest.raises(ExpressionSyntaxError):
-        parse_expression("x ^ y", XYZ)  # exponent must be a literal
-    with pytest.raises(ExpressionSyntaxError):
-        parse_expression("x ^ -2", XYZ)
-    with pytest.raises(ExpressionSyntaxError):
-        parse_expression("3 $ 4", XYZ)
-    with pytest.raises(ExpressionSyntaxError):
-        parse_expression("x y", XYZ)  # no implicit multiplication
+PARSE_ERRORS = {
+    # id: (text, exception type, message before " (at position p)", p)
+    "dollar": ("3 $ 4", ExpressionSyntaxError, "unexpected character '$'", 2),
+    "superscript-two": ("x^²", ExpressionSyntaxError, "unexpected character '²'", 2),
+    "arabic-indic-three": ("x^٣", ExpressionSyntaxError, "unexpected character '٣'", 2),
+    "long-literal": ("x+" + "1" * 4301, ExpressionSyntaxError,
+                     "integer literal of more than 4300 digits", 2),
+    "implicit-product": ("x y", ExpressionSyntaxError, "trailing input 'y'", 2),
+    "unopened": ("x)", ExpressionSyntaxError, "trailing input ')'", 1),
+    "trailing-non-ascii": ("x\té", ExpressionSyntaxError, "trailing input 'é'", 2),
+    "unclosed": ("(x", ExpressionSyntaxError, "expected ')'", 2),
+    "unclosed-before-name": ("(x y", ExpressionSyntaxError, "expected ')'", 3),
+    "deep-parens": ("(" * 201 + "x" + ")" * 201, ExpressionSyntaxError,
+                    "expression nested deeper than 200", 200),
+    "deep-minus": ("-" * 201 + "x", ExpressionSyntaxError, "expression nested deeper than 200", 200),
+    "exponent-name": ("x ^ y", ExpressionSyntaxError, "exponent must be a nonnegative integer", 4),
+    "exponent-negative": ("x ^ -2", ExpressionSyntaxError,
+                          "exponent must be a nonnegative integer", 4),
+    "exponent-missing": ("x^", ExpressionSyntaxError, "exponent must be a nonnegative integer", 2),
+    "empty": ("", ExpressionSyntaxError, "expected integer, variable, '(' or '-', got ''", 0),
+    "operand-missing": ("x +", ExpressionSyntaxError,
+                        "expected integer, variable, '(' or '-', got ''", 3),
+    "divide-by-zero": ("1/0", ZeroDenominator, "division by an identically-zero expression", 1),
+    "divide-by-zero-expression": ("x/(x-x)", ZeroDenominator,
+                                  "division by an identically-zero expression", 1),
+    "unknown-name": ("x + w", UnknownVariable, "unknown variable 'w'", 4),
+    "unknown-non-ascii": ("é", UnknownVariable, "unknown variable 'é'", 0),
+    # two errors: the one met first in a left-to-right parse is raised
+    "zero-before-dollar": ("2/0^2$", ZeroDenominator,
+                           "division by an identically-zero expression", 1),
+    "unknown-before-dollar": ("w$", UnknownVariable, "unknown variable 'w'", 0),
+    "plus-before-superscript": ("+²", ExpressionSyntaxError,
+                                "expected integer, variable, '(' or '-', got '+'", 0),
+}
+
+
+@pytest.mark.parametrize("text, kind, message, position", PARSE_ERRORS.values(),
+                         ids=PARSE_ERRORS)
+def test_parse_error_table(text, kind, message, position, int_str_limit):
+    """Each raise site of the parser, with its exception type, message and
+    position (ZeroDenominator carries it in the message alone)."""
+    with pytest.raises(kind) as exc:
+        parse_expression(text, XYZ)
+    assert type(exc.value) is kind
+    assert str(exc.value) == f"{message} (at position {position})"
+    assert getattr(exc.value, "position", position) == position
 
 
 def test_nesting_depth_guard():
@@ -78,11 +112,25 @@ def test_unary_minus_binds_inside_power():
 
 
 def test_parse_serialize_roundtrip():
-    texts = ["(x^2-1)/(x-1)", "2*x - 3*y^2 + 1", "x/y + z/2", "-(x+1)/(y-2)"]
+    texts = ["(x^2-1)/(x-1)", "2*x - 3*y^2 + 1", "x/y + z/2", "-(x+1)/(y-2)", "1-x^2",
+             "(-x^3*y+z)/(x^2+1)"]
     for text in texts:
         first = parse_expression(text, XYZ)
         again = parse_expression(str(first), XYZ)
         assert first == again, text
+
+
+def test_each_token_is_read_once(monkeypatch):
+    reads = []
+    read = poly._Parser._read
+
+    def counted(parser):
+        reads.append(read(parser))
+        return reads[-1]
+
+    monkeypatch.setattr(poly._Parser, "_read", counted)
+    parse_expression("(x^2+1)/(x+2)", ("x",))
+    assert reads == ["(", "x", "^", "2", "+", "1", ")", "/", "(", "x", "+", "2", ")", ""]
 
 
 def test_evaluate_examples():
@@ -338,7 +386,9 @@ def ref_str(rf, variables) -> str:
         for e in sorted(p, key=_grlex, reverse=True):
             c = p[e]
             factors = [v if k == 1 else f"{v}^{k}" for v, k in zip(variables, e) if k]
-            body = "*".join(([str(abs(c))] if abs(c) != 1 or not factors else []) + factors)
+            # -x^2 would read back as (-x)^2, so a leading -1 before a power is printed
+            one = not factors or (not out and c == -1 and "^" in factors[0])
+            body = "*".join(([str(abs(c))] if abs(c) != 1 or one else []) + factors)
             out.append(("-" if c < 0 else "") + body if not out else f"{'-' if c < 0 else '+'} {body}")
         return " ".join(out) or "0"
 
@@ -408,6 +458,16 @@ def test_parse_matches_fraction_reference(tree):
         assert (rf.num.terms, rf.den.terms) == expected
         assert all(type(c) is int for c in [*rf.num.terms.values(), *rf.den.terms.values()])
         assert str(rf) == ref_str(expected, XY)
+
+
+@settings(deadline=None)
+@given(trees(max_degree=16))
+def test_str_parses_back(tree):
+    try:
+        rf = parse_expression(tree_text(tree), XY)
+    except ZeroDenominator:
+        return
+    assert parse_expression(str(rf), XY) == rf
 
 
 @settings(deadline=None)

@@ -7,7 +7,7 @@ nothing is written next to it) and checked on a small fixture file.
 """
 
 from pathlib import Path
-from types import ModuleType
+from types import ModuleType, SimpleNamespace
 
 SCRIPT = Path(__file__).resolve().parent.parent / "tools" / "unrun_lines.py"
 
@@ -51,3 +51,10 @@ def test_statement_lines_of_a_fixture(tmp_path):
         15: range(15, 16),
         16: range(16, 17),
     }
+
+
+def test_failed_tests_are_named_once_in_order():
+    failures = load_script().Failures()
+    for nodeid, failed in [("t::a", False), ("t::b", True), ("t::c", True), ("t::b", True)]:
+        failures.pytest_runtest_logreport(SimpleNamespace(nodeid=nodeid, failed=failed))
+    assert failures.ids == ["t::b", "t::c"]

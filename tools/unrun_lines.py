@@ -16,7 +16,9 @@ It is a report, not a pass/fail signal: tracing slows the suite several
 times over (about 95 s for the whole of it on 2 CPUs against about 33 s
 untraced), so wall-clock tests may fail under it, and those failures change
 nothing in the list, which holds what ran whether a test passed or not.  The
-exit status is 0 whatever the tests do.
+tests that failed are named in a section of their own after the list, so a
+failed time budget is not mistaken for a regression.  The exit status is 0
+whatever the tests do.
 """
 
 from __future__ import annotations
@@ -53,6 +55,17 @@ def statement_lines(path: Path) -> dict[int, range]:
     return out
 
 
+class Failures:
+    """pytest plugin: the ids of the tests that failed, in the order they ran."""
+
+    def __init__(self):
+        self.ids: list[str] = []
+
+    def pytest_runtest_logreport(self, report) -> None:
+        if report.failed and report.nodeid not in self.ids:  # setup, call or teardown
+            self.ids.append(report.nodeid)
+
+
 def main(args: list[str]) -> int:
     import pytest
 
@@ -75,11 +88,13 @@ def main(args: list[str]) -> int:
             return local
         return None
 
+    failures = Failures()
     sys.path.insert(0, str(ROOT / "src"))
     threading.settrace(tracer)
     sys.settrace(tracer)
     try:
-        pytest.main(args or ["-q", "-p", "no:cacheprovider", str(ROOT / "tests")])
+        pytest.main(args or ["-q", "-p", "no:cacheprovider", str(ROOT / "tests")],
+                    plugins=[failures])
     finally:
         sys.settrace(None)
         threading.settrace(None)
@@ -96,6 +111,10 @@ def main(args: list[str]) -> int:
                 print(f"  {n:5d}  {lines[n - 1].strip()}")
         total += len(unrun)
     print(f"\n{total} statements never ran")
+    print(f"\n{len(failures.ids)} tests failed under the tracer, which slows them"
+          " (the list above holds what ran either way)")
+    for nodeid in failures.ids:
+        print(f"  {nodeid}")
     return 0
 
 
