@@ -23,7 +23,8 @@ rule holds for P^1 values: orbit traces and grids keep them as canonical
 pairs (p, q) with heights from :func:`height_pair`, and build `P1Value`
 objects only for the rows read.
 A trace that reads only heights turns values past `_BITS` bits into
-:class:`Interval` enclosures, whose leading bits certify each height.
+:class:`Interval` enclosures, whose leading bits certify each height and
+whose residues modulo a power of the resultants give `value` its gcds.
 """
 
 from __future__ import annotations
@@ -200,27 +201,35 @@ _BITS = 160  # bits per end of an Interval: 53 for a double, the rest for wideni
 
 
 class Uncertain(ArithmeticError):
-    """An Interval cannot decide a sign or a rounded double."""
+    """An Interval cannot decide a sign or a rounded double, or lacks the
+    residue or the exact int that `%`, `//` or math.gcd needs."""
 
 
 @total_ordering
 class Interval:
     """A real in [lo * 2^e, hi * 2^e] for ints lo <= hi of at most about
     `_BITS` bits, rounded outward by each operation; exact when lo == hi, so
-    exact zeros stay exact.  It has the operators that compiled forms and
-    `_IntForm.value` apply; an undecided comparison, `%` and math.gcd raise Uncertain."""
+    exact zeros stay exact.  Beside it the int it stands for is known to be
+    r modulo m: m = 0 for an exact int r (a coefficient, the start of `**`),
+    and m = 1 where nothing is known.  `+`, `-`, `*` and `**` carry r
+    modulo gcd(m_x, m_y), which `%` reads, and `//` by a g that divides the
+    int is a true division, its residue r // g modulo m // g.  It has the
+    operators that compiled forms and `_IntForm.value` apply; an undecided
+    comparison, `%` or `//` by a k that does not divide m, and math.gcd
+    raise Uncertain."""
 
-    __slots__ = ("lo", "hi", "e")
+    __slots__ = ("lo", "hi", "e", "r", "m")
 
-    def __init__(self, lo: int, hi: int, e: int = 0):
+    def __init__(self, lo: int, hi: int, e: int = 0, r: int = 0, m: int = 1):
         s = max(-lo, hi).bit_length() - _BITS
         if s > 0:
             lo, hi, e = lo >> s, -(-hi >> s), e + s
-        self.lo, self.hi, self.e = lo, hi, e
+        self.lo, self.hi, self.e, self.r, self.m = lo, hi, e, r % m if m else r, m
 
     @staticmethod
-    def of(x) -> "Interval":
-        return x if type(x) is Interval else Interval(x, x)
+    def of(x, m: int = 0) -> "Interval":
+        """x itself if it is an Interval, else the int x with its residue mod m."""
+        return x if type(x) is Interval else Interval(x, x, 0, x, m)
 
     def _sign(self, other=0) -> int:
         """The sign of self - other, or Uncertain."""
@@ -238,32 +247,40 @@ class Interval:
         e = max(min(x.e, y.e), top - 2 * _BITS)
         (a, b), (c, d) = [(v.lo << v.e - e, v.hi << v.e - e) if v.e >= e
                           else (v.lo >> e - v.e, -(-v.hi >> e - v.e)) for v in (x, y)]
-        return Interval(a + c, b + d, e)
+        return Interval(a + c, b + d, e, x.r + y.r, gcd(x.m, y.m))
 
     def __sub__(self, other) -> "Interval":
         return self + -other
 
     def __neg__(self) -> "Interval":
-        return Interval(-self.hi, -self.lo, self.e)
+        return Interval(-self.hi, -self.lo, self.e, -self.r, self.m)
 
     def __mul__(self, other) -> "Interval":
         other = Interval.of(other)
         ends = (self.lo * other.lo, self.lo * other.hi, self.hi * other.lo, self.hi * other.hi)
-        return Interval(min(ends), max(ends), self.e + other.e)
+        return Interval(min(ends), max(ends), self.e + other.e, self.r * other.r,
+                        gcd(self.m, other.m))
 
     __rmul__ = __mul__  # coefficient * power in the compiled forms
 
-    def __floordiv__(self, unit: int) -> "Interval":
-        # `value` divides an interval only by g = +-1: a gcd raises Uncertain
-        return self * unit
+    def __mod__(self, k: int) -> int:
+        if self.m % k:  # the message names no number: m may be past the int-to-str limit
+            raise Uncertain("an interval's modulus does not hold the divisor")
+        return self.r % k
 
-    def __index__(self, *_):  # what math.gcd reads; `%` below takes a second argument
+    def __floordiv__(self, g: int) -> "Interval":
+        """self / g, for a g that divides the int that self stands for."""
+        if g < 0:
+            return -self // -g
+        self % g  # raises Uncertain unless g divides m
+        return Interval((self.lo << _BITS) // g, -((-self.hi << _BITS) // g), self.e - _BITS,
+                        self.r // g, self.m // g)
+
+    def __index__(self):  # what math.gcd reads
         raise Uncertain("an interval holds no exact int for a gcd")
 
-    __mod__ = __index__
-
     def __pow__(self, k: int) -> "Interval":
-        return math.prod([self] * k, start=Interval(1, 1))
+        return math.prod([self] * k, start=Interval.of(1))
 
     def __bool__(self) -> bool:
         return self._sign() != 0

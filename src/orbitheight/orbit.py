@@ -117,20 +117,22 @@ def _check_start(phi: RationalMap, start: Sequence[Fraction]) -> None:
 
 
 def _states(phi: RationalMap, start: Sequence[Fraction], n_steps: int,
-            promote=False) -> Iterator[State]:
+            promote=0) -> Iterator[State]:
     """States for n = 0..n_steps, each computed when requested, ending at a
-    chart exit.  With promote, the state turns into `Interval`s at the
-    first step where a coordinate passes `_BITS` bits."""
+    chart exit.  With promote = L > 0, the state turns into `Interval`s at
+    the first step n where a coordinate passes `_BITS` bits, each carrying
+    its residue mod L^(n_steps - n + 2)."""
     state, big = tuple(map(as_pair, start)), 1 << _BITS
     yield state
-    for _ in range(n_steps):
+    for n in range(1, n_steps + 1):
         state = step(phi, state)
         if state is None:
             return
         if promote:  # a plain loop: any() over a generator costs several times more
             for a, b in state:
                 if abs(a) >= big or b >= big:
-                    state, promote = tuple(tuple(map(Interval.of, p)) for p in state), False
+                    m = promote ** (n_steps - n + 2)
+                    state, promote = tuple(tuple(Interval.of(v, m) for v in p) for p in state), 0
                     break
         yield state
 
@@ -158,8 +160,12 @@ def iterate_orbit(
 
     With heights_only, values are ints up to `exact._BITS` bits and
     `exact.Interval`s past that: `h` is certified and exact, but late states
-    and coords may be intervals.  A gcd, or a sign or rounding that an
-    interval cannot decide, raises Uncertain, and the orbit runs again exactly.
+    and coords may be intervals.  Each `value` divides by a g that divides
+    its form's resultant R, so the intervals carry residues modulo a power
+    of L, the lcm of the resultants R > 1 of the map's components and the
+    observable, deep enough to take every gcd mod R up to n_max.  A form
+    with R = 0 that needs a gcd, or a sign or rounding that an interval
+    cannot decide, raises Uncertain, and the orbit runs again exactly.
     """
     if n_max < 0:
         raise InvalidParameter("horizon must be nonnegative")
@@ -175,6 +181,9 @@ def iterate_orbit(
 def _trace(phi, observable, start, n_max: int, promote=False) -> OrbitTrace:
     states, coords = [], []
     stop_reason, stop_index = COMPLETED, None
+    if promote:
+        forms = [f.form for f in (*phi.components, observable)]
+        promote = math.lcm(*[f.resultant for f in forms if f.resultant > 1])
     for state in _states(phi, start, n_max, promote):
         value = p1_pair(observable, state)
         if value is None:

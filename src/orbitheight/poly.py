@@ -370,7 +370,7 @@ class RationalFunction:
     def __init__(self, num: Polynomial, den: Polynomial):
         num._check_same_vars(den)
         if den.is_zero():
-            raise ZeroDenominator(f"denominator of {num}/{den} is identically zero")
+            raise ZeroDenominator("the denominator is identically zero")
         self.num, self.den = _content_canonical(num, den)
         self._form = None
 
@@ -401,6 +401,9 @@ class RationalFunction:
     # --- field arithmetic (cross-multiplication, no gcd reduction) ---
 
     def __add__(self, other: "RationalFunction") -> "RationalFunction":
+        if self.den.terms == other.den.terms == {(0,) * len(self.variables): 1}:
+            # the cross-multiplied sum, term for term, without multiplying by 1
+            return RationalFunction(self.num + other.num, self.den)
         return RationalFunction(
             self.num * other.den + other.num * self.den, self.den * other.den
         )
@@ -497,12 +500,12 @@ def compose(outer: RationalMap, inner: RationalMap) -> RationalMap:
     if len(outer.components) != len(inner.components) or not outer.is_self_map():
         raise DimensionMismatch("composition needs self-maps of equal dimension")
     comps = []
-    for comp in outer.components:
+    for i, comp in enumerate(outer.components):
         num_sub = comp.num.substitute(inner.components)
         den_sub = comp.den.substitute(inner.components)
-        if den_sub.num.is_zero():
+        if den_sub.num.is_zero():  # named by index: its text may be past the int-to-str limit
             raise ZeroDenominator(
-                f"denominator of {comp} vanishes identically after substitution"
+                f"the denominator of component {i} is identically zero after substitution"
             )
         comps.append(num_sub / den_sub)
     return RationalMap(outer.variables, tuple(comps))

@@ -4,9 +4,11 @@ A `gap` job without `ell` starts its orbit on ints and turns its state
 into `exact.Interval` values at the first step where a coordinate passes
 160 bits.  Its heights come from `height_pair`'s rule for `math.log` of an
 int, and must be the floats the exact path gives, so that the reports are
-byte-identical.  Where an interval cannot decide a sign or a rounding, or
-where a value needs a gcd, which `Interval` refuses as it refuses `%` and
-`__index__`, the job runs again exactly.  The rule is checked against
+byte-identical.  The intervals carry residues modulo a power of the
+forms' resultants, from which `value` takes each gcd mod a resultant R > 1.
+Where an interval cannot decide a sign or a rounding, or where a form with
+R = 0 needs a full gcd, which `Interval` refuses by its `__index__`, the
+job runs again exactly.  The rule is checked against
 `math.log` itself, the intervals against exact int arithmetic, and the
 reports against the same jobs forced onto the exact path.
 """
@@ -93,19 +95,24 @@ def test_height_rule_past_the_double_range():
 
 
 def _encloses(x: Interval, n: int) -> bool:
-    return x.lo << x.e <= n <= x.hi << x.e
+    """x holds the int n in its interval, and n is x.r modulo x.m."""
+    ends = (x.lo << x.e, n, x.hi << x.e) if x.e >= 0 else (x.lo, n << -x.e, x.hi)
+    congruent = (n - x.r) % x.m == 0 if x.m else x.r == n
+    return ends == tuple(sorted(ends)) and congruent
 
 
 wide_ints = st.one_of(st.integers(-50, 50), st.integers(-(2**600), 2**600))
+moduli = st.sampled_from([0, 1, 2, 6, 5**40])  # 0: exact, 1: nothing known
 
 
-@given(wide_ints, wide_ints, st.integers(0, 5))
-def test_interval_operators_enclose_the_exact_result(a, b, k):
-    x, y = Interval.of(a), Interval.of(b)
+@given(wide_ints, wide_ints, st.integers(0, 5), moduli, moduli)
+def test_interval_operators_enclose_the_exact_result(a, b, k, m, n):
+    x, y = Interval.of(a, m), Interval.of(b, n)
     for result, exact in ((x + y, a + b), (x - y, a - b), (x * y, a * b), (a * y, a * b),
                           (-x, -a), (x**k, a**k), (x * y + x * x, a * b + a * a)):
         assert _encloses(result, exact)
         assert result.lo <= result.hi and max(-result.lo, result.hi).bit_length() <= 161
+    assert (x * y).m == (x + y).m == math.gcd(m, n) and (x**k).m == (m if k else 0)
     assert (x * 0 == 0) is True  # an exact zero stays exact
     for test, exact in ((lambda: x == b, a == b), (lambda: x < b, a < b),
                         (lambda: x <= b, a <= b), (lambda: x >= b, a >= b),
@@ -115,6 +122,30 @@ def test_interval_operators_enclose_the_exact_result(a, b, k):
         except Uncertain:  # only where a - b is below the intervals' last bits
             event("undecided")
             assert abs(a - b) < 2 ** (max(a.bit_length(), b.bit_length()) - 150)
+
+
+@given(wide_ints, wide_ints, st.integers(1, 2**70).map(lambda g: g if g % 3 else -g), moduli)
+def test_interval_division_encloses_the_exact_quotient(a, b, g, m):
+    """// by a g that divides both the int and the modulus is a true
+    division, for a negative g too; the residue follows the quotient."""
+    x, y = Interval.of(a * g, abs(g) * m), Interval.of(b, abs(g) * 7)
+    for result, exact, modulus in ((x // g, a, m), ((x * y) // g, a * b, math.gcd(m, 7)),
+                                   ((x * y + y * x) // g, 2 * a * b, math.gcd(m, 7))):
+        assert _encloses(result, exact) and result.m == modulus
+    exact = Interval.of(12) // -4  # an exact quotient stays exact
+    assert (exact.lo == exact.hi, exact == -3, exact.r, exact.m) == (True, True, -3, 0)
+
+
+@given(wide_ints, st.sampled_from([(1, 2), (6, 4), (6, 5), (5**40, 3), (5**40, 5**41)]))
+def test_interval_residue_needs_the_modulus_to_hold_the_divisor(a, mk):
+    """% k and // k raise Uncertain unless k divides the modulus m: an
+    interval known mod m has no residue mod k, and cannot divide by it."""
+    m, k = mk
+    x = Interval.of(a * k, m)
+    for refused in (lambda: x % k, lambda: x // k, lambda: x // -k, lambda: math.gcd(x, k)):
+        with pytest.raises(Uncertain):
+            refused()
+    assert Interval.of(a * k, m * k) % k == 0 and Interval.of(a, 0) % k == a % k
 
 
 # --- reports against the exact path ---
@@ -264,22 +295,38 @@ def test_gap_past_the_reach_of_exact_values(tmp_path):
     assert heights[60] / heights[59] == pytest.approx(2)
 
 
+def test_quotient_past_the_reach_of_exact_values():
+    """(x^2 + 1)/(x + 2) has resultant 5, so each value divides by a power
+    of 5 that residues mod 5^k find: from 1/3 its values reach about 2^100
+    bits at N = 100, and the certified heights take well under a second and
+    equal the exact ones as far as those can be computed."""
+    phi, f = parse_map(["(x^2+1)/(x+2)"], ("x",)), parse_expression("x", ("x",))
+    t0 = time.perf_counter()
+    trace = iterate_orbit(phi, f, [Fraction(1, 3)], 100, heights_only=True)
+    assert time.perf_counter() - t0 < 1.0
+    assert trace.stop_reason == "completed" and type(trace.coords[100][0]) is Interval
+    assert trace.h[:17] == iterate_orbit(phi, f, [Fraction(1, 3)], 16).h
+    assert trace.h[100] / trace.h[99] == pytest.approx(2)
+
+
 GCD = "fell back: an interval holds no exact int for a gcd"
 
 
 @pytest.mark.parametrize("maps, observable, start, n_max, expected", [
     (["x^2+1"], "x", ["1/3"], 12, "promoted"),  # resultant 1
-    (["(x^2+1)/(x+2)"], "x", ["1/3"], 12, GCD),  # resultant 5: num % 5
+    (["(x^2+1)/(x+2)"], "x", ["1/3"], 12, "promoted"),  # resultant 5: num % 5 on residues
+    (["(x^3-x)/(x-1)"], "x", ["1/3"], 12, GCD),  # resultant 0: the shared root 1
     (["y", "x*y+1"], "y", ["3", "4"], 15, "promoted"),  # polynomial, integral start
     (["y", "x*y+1"], "y", ["3", "1/4"], 15, GCD),  # x*y+1 has no resultant: math.gcd
-    (["y", "x*y+1"], "y/2", ["3", "4"], 15, GCD),  # y/2 has resultant 2 and den 2
+    (["y", "x*y+1"], "y/2", ["3", "4"], 15, "promoted"),  # y/2 has resultant 2 and den 2
     (["x+1"], "x", ["0"], 50, "ints only"),  # degree 1: values stay small
     (["x^2-1"], "x", ["0"], 50, "ints only"),  # the cycle 0, -1
-], ids=["square", "quotient", "product", "product-rational", "product-halved", "shift",
-        "cycle"])
+], ids=["square", "quotient", "shared-root", "product", "product-rational", "product-halved",
+        "shift", "cycle"])
 def test_which_orbits_are_promoted(maps, observable, start, n_max, expected):
     """Every gap job without ell starts on ints; a value past 160 bits turns
-    the state into intervals, and a gcd on them sends the job back to ints."""
+    the state into intervals, whose residues take each gcd mod a resultant
+    R > 1.  A gcd of a form with R = 0 sends the job back to ints."""
     job = _gap_job(("x", "y")[:len(maps)], maps, observable, start, n_max)
     report, outcome, _ = _report_and_outcome(job)
     assert outcome == expected

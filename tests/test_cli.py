@@ -631,11 +631,7 @@ def test_failed_run_leaves_old_reports_untouched(tmp_path):
     # the factorial job: n! passes 4300 digits before n = 2000
     {"kind": "dfinite", "order": 1, "coeffs": ["-(n+1)", "1"],
      "initial": {"0": "1"}, "offset": 0, "N": 2000},
-    # the check of x -> 1 against this map composes to 1/0, and the message
-    # that names the map prints a coefficient of 6000 digits
-    {"kind": "commuting", "variables": ["x"], "maps": [["(" + "9" * 3000 + "*x)^2/(x-1)"], ["1"]],
-     "observable": "x", "start": ["2"], "N": 3},
-], ids=["orbit-square", "factorial", "coefficient-in-message"])
+], ids=["orbit-square", "factorial"])
 def test_value_past_int_str_limit_exit_3_no_output(job, tmp_path, capsys, int_str_limit):
     path = tmp_path / "huge.json"
     path.write_text(json.dumps(job))
@@ -644,6 +640,21 @@ def test_value_past_int_str_limit_exit_3_no_output(job, tmp_path, capsys, int_st
     err = capsys.readouterr().err
     assert err.startswith("runtime error:")
     assert f"{int_str_limit} decimal digits" in err
+    assert not out_dir.exists()
+
+
+def test_zero_denominator_of_a_huge_coefficient_map_exit_3(tmp_path, capsys, int_str_limit):
+    """The check of x -> 1 against this map composes to 1/0.  The message
+    names the component by its index, not by its text, whose coefficient
+    of 6000 digits is past the int-to-str limit."""
+    job = {"kind": "commuting", "variables": ["x"], "observable": "x", "start": ["2"], "N": 3,
+           "maps": [["(" + "9" * 3000 + "*x)^2/(x-1)"], ["1"]]}
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(job))
+    out_dir = tmp_path / "out"
+    assert main(["run", str(path), "--out", str(out_dir)]) == 3
+    assert capsys.readouterr().err == (
+        "runtime error: the denominator of component 0 is identically zero after substitution\n")
     assert not out_dir.exists()
 
 

@@ -283,6 +283,18 @@ def test_large_power_parses_fast():
         math.factorial(20) * math.factorial(30) * math.factorial(30))
 
 
+def test_sum_of_many_summands_is_the_polynomial():
+    """x^1 + ... + x^1999 parses to the polynomial built directly, term for
+    term and in the same order: summands over the denominator 1 add their
+    numerators as the cross-multiplied sum would, without multiplying by 1."""
+    terms = {(k,): 1 for k in range(1, 2000)}
+    rf = parse_expression("+".join(f"x^{k}" for k in range(1, 2000)), ("x",))
+    assert rf == RationalFunction.from_polynomial(Polynomial(("x",), terms))
+    assert list(rf.num.terms.items()) == list(terms.items())
+    mixed = parse_expression("x^2 - 2*x + x/3 - 1", ("x",))  # dens 1 and 3
+    assert (mixed.num.terms, mixed.den.terms) == ({(2,): 3, (1,): -5, (0,): -3}, {(0,): 3})
+
+
 # --- a Fraction-coefficient reference for the int arithmetic ---
 #
 # Polynomials are {exponents: Fraction} dicts and rational functions are
