@@ -22,9 +22,9 @@ report is joined by :func:`report_csv` from rows of str fields.  The same
 rule holds for P^1 values: orbit traces and grids keep them as canonical
 pairs (p, q) with heights from :func:`height_pair`, and build `P1Value`
 objects only for the rows read.
-A trace that reads only heights turns values past `_BITS` bits into
-:class:`Interval` enclosures, whose leading bits certify each height and
-whose residues modulo a power of the resultants give `value` its gcds.
+A heights-only trace of a map that is not affine turns values past `_BITS`
+bits into :class:`Interval` enclosures, whose leading bits certify each
+height and whose residues modulo resultant powers give `value` its gcds.
 """
 
 from __future__ import annotations

@@ -158,14 +158,15 @@ def iterate_orbit(
     exits to infinity) or when the observable is indeterminate at a point;
     the stop reason records the first unreachable index.
 
-    With heights_only, values are ints up to `exact._BITS` bits and
+    With heights_only, values are ints up to `exact._BITS` bits, or for
+    good on affine maps, whose values gain bits additively, and
     `exact.Interval`s past that: `h` is certified and exact, but late states
     and coords may be intervals.  Each `value` divides by a g that divides
-    its form's resultant R, so the intervals carry residues modulo a power
-    of L, the lcm of the resultants R > 1 of the map's components and the
-    observable, deep enough to take every gcd mod R up to n_max.  A form
-    with R = 0 that needs a gcd, or a sign or rounding that an interval
-    cannot decide, raises Uncertain, and the orbit runs again exactly.
+    its form's resultant R, so intervals carry residues modulo a power of L,
+    the lcm of the resultants R > 1 of the map's components and the
+    observable, enough for each gcd mod R up to n_max.  Where a form with
+    R = 0 needs a gcd, or an interval cannot decide a sign or a rounding,
+    Uncertain makes the orbit run exactly.
     """
     if n_max < 0:
         raise InvalidParameter("horizon must be nonnegative")
@@ -181,9 +182,11 @@ def iterate_orbit(
 def _trace(phi, observable, start, n_max: int, promote=False) -> OrbitTrace:
     states, coords = [], []
     stop_reason, stop_index = COMPLETED, None
-    if promote:
+    if promote:  # an affine map's values gain bits additively: ints stay cheaper
         forms = [f.form for f in (*phi.components, observable)]
-        promote = math.lcm(*[f.resultant for f in forms if f.resultant > 1])
+        affine = all(c.den.is_constant() and max(map(sum, c.num.terms), default=0) <= 1
+                     for c in phi.components)
+        promote = not affine and math.lcm(*[f.resultant for f in forms if f.resultant > 1])
     for state in _states(phi, start, n_max, promote):
         value = p1_pair(observable, state)
         if value is None:

@@ -109,16 +109,11 @@ def _straight_line(degrees: tuple[int, ...], num: dict, den: dict):
     target = "".join(f"(a{i}, b{i}), " if d else "_, " for i, d in enumerate(degrees))
     source = "\n    ".join([
         f"def pair_at(pairs{''.join(f', {c}={c}' for c in coeffs)}):",
-        "try:",
-        f"    ({target}) = pairs",
-        "except ValueError:",
-        f"    if len(pairs) == {len(degrees)}: raise",
-        f"    raise Mismatch(f'point has {{len(pairs)}} coordinates, expected {len(degrees)}')",
+        f"({target}) = pairs",
         *lines,
     ])
-    namespace = {"Mismatch": DimensionMismatch, **coeffs}
-    exec(compile(source, "<_IntForm>", "exec"), namespace)
-    return namespace["pair_at"]
+    exec(compile(source, "<_IntForm>", "exec"), coeffs)
+    return coeffs["pair_at"]
 
 
 class _IntForm:
@@ -127,17 +122,17 @@ class _IntForm:
     With D_i the largest exponent of variable i in either polynomial, at
     reduced pairs (a_i, b_i) `pair_at` returns each polynomial times
     prod b_i^D_i: sum c_e prod a_i^e_i b_i^(D_i - e_i).  It is Python source
-    generated for the form and compiled once: it unpacks the pairs of the
-    variables used, computes only the powers the terms need and returns both
-    sums as straight-line int arithmetic, coefficients +-1 dropped.  Only
-    positional names (a0, b0, a0_3, c0) enter the source, never job text.
-    Coefficients are bound as default arguments, never printed, since one
-    past CPython's int-to-str digit limit could not be.  The source grows
-    with the number of terms and distinct exponents, not with the degree;
-    sums and products past 64 operands nest by halves, since a flat chain
-    of thousands overflows CPython's compiler.  Building takes 0.05 ms for
-    x+1, 0.08 ms for x^3000 (64 ms with a line per power up to the degree)
-    and 50 ms for the 5,456 terms of degree <= 30 in x, y, z (CPython 3.11).
+    generated for the form and compiled once, arithmetic only: it unpacks
+    the pairs of the variables used, computes only the powers the terms need
+    and returns both sums, coefficients +-1 dropped.  Only positional names
+    (a0, b0, a0_3, c0) enter it, never job text or a global name; `value`
+    calls `check_length` once its unpacking fails, a `pair_at` before it.
+    Coefficients are default arguments, never printed: one past CPython's
+    int-to-str digit limit could not be.  The source grows with the number
+    of terms and distinct exponents, not with the degree; sums and products
+    past 64 operands nest by halves, as a flat chain of thousands overflows
+    CPython's compiler.  Building takes 0.045 ms for x+1, 0.1 ms for x^3000
+    and 90 ms for the 5,456 terms of degree <= 30 in x, y, z (CPython 3.11).
 
     `resultant` is decided once, for forms whose num and den use at most one
     variable x_i: it is |R| for R = Res(F, G), the resultant of the binary
@@ -159,12 +154,12 @@ class _IntForm:
     (x^2-1)/(x-1)); `value` then takes the full gcd of a den other than 1.
     """
 
-    __slots__ = ("pair_at", "resultant", "_terms")
+    __slots__ = ("pair_at", "arity", "resultant", "_terms")
 
     def __init__(self, num: dict[tuple[int, ...], int], den: dict[tuple[int, ...], int]):
         self._terms = (num, den)
         degrees = tuple(max(col) for col in zip(*num, *den))
-        self.resultant = 0
+        self.arity, self.resultant = len(degrees), 0
         if sum(map(bool, degrees)) <= 1:  # so e[i] = sum(e) for the one used x_i
             d = sum(degrees)
             f, g = [0] * (d + 1), [0] * (d + 1)  # coefficients, x_i^d first
@@ -185,7 +180,11 @@ class _IntForm:
     def value(self, pairs: Sequence[tuple[int, int]]) -> Optional[tuple[int, int]]:
         """The form at reduced int pairs as coprime (num, den), den > 0 or
         (1, 0) where den vanishes; None where num and den both vanish."""
-        num, den = self.pair_at(pairs)
+        try:
+            num, den = self.pair_at(pairs)
+        except ValueError:  # pairs did not unpack: a wrong length, or a malformed pair
+            self.check_length(pairs)
+            raise
         r = self.resultant
         g = 1 if r == 1 or den == 1 else gcd(r, num % r, den % r) if r else gcd(num, den)
         if den <= 0:
@@ -194,6 +193,12 @@ class _IntForm:
             if den or num < 0:
                 g = -g
         return (num, den) if g == 1 else (num // g, den // g)
+
+    def check_length(self, pairs: Sequence[tuple[int, int]]) -> Sequence[tuple[int, int]]:
+        """pairs if it holds `arity` pairs, else DimensionMismatch: the length rule."""
+        if len(pairs) != self.arity:
+            raise DimensionMismatch(f"point has {len(pairs)} coordinates, expected {self.arity}")
+        return pairs
 
 
 class Polynomial:
@@ -310,7 +315,7 @@ class Polynomial:
         """Value at reduced int pairs as an unreduced (num, den), den > 0."""
         if self._form is None:
             self._form = RationalFunction.from_polynomial(self).form
-        return self._form.pair_at(pairs)
+        return self._form.pair_at(self._form.check_length(pairs))
 
     def substitute(self, args: Sequence["RationalFunction"]) -> "RationalFunction":
         """Plug rational functions in for the variables (symbolic evaluation)."""
@@ -384,7 +389,7 @@ class RationalFunction:
     def pair_at(self, pairs: Sequence[tuple[int, int]]) -> tuple[int, int]:
         """(num, den) values at reduced int pairs, both scaled by one positive
         integer and left unreduced; (0, 0) on the indeterminacy locus."""
-        return self.form.pair_at(pairs)
+        return self.form.pair_at(self.form.check_length(pairs))
 
     @property
     def variables(self) -> tuple[str, ...]:

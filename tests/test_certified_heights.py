@@ -2,10 +2,11 @@
 
 A `gap` job without `ell` starts its orbit on ints and turns its state
 into `exact.Interval` values at the first step where a coordinate passes
-160 bits.  Its heights come from `height_pair`'s rule for `math.log` of an
-int, and must be the floats the exact path gives, so that the reports are
-byte-identical.  The intervals carry residues modulo a power of the
-forms' resultants, from which `value` takes each gcd mod a resultant R > 1.
+160 bits, unless its map is affine.  Its heights come from
+`height_pair`'s rule for `math.log` of an int, and must be the floats the
+exact path gives, so that the reports are byte-identical.  The intervals
+carry residues modulo a power of the forms' resultants, from which
+`value` takes each gcd mod a resultant R > 1.
 Where an interval cannot decide a sign or a rounding, or where a form with
 R = 0 needs a full gcd, which `Interval` refuses by its `__index__`, the
 job runs again exactly.  The rule is checked against
@@ -134,6 +135,23 @@ def test_interval_division_encloses_the_exact_quotient(a, b, g, m):
         assert _encloses(result, exact) and result.m == modulus
     exact = Interval.of(12) // -4  # an exact quotient stays exact
     assert (exact.lo == exact.hi, exact == -3, exact.r, exact.m) == (True, True, -3, 0)
+
+
+def test_interval_quotient_rounds_its_upper_end_up_past_zero_bits():
+    """The upper end of x // g is a ceiling even where the quotient drops
+    only zero bits when `Interval` shortens it to `_BITS` bits, so that the
+    shortening's own rounding up does not hide a floor.  Here
+    hi * 2^160 = q * g + 2^64 for an odd g of 100 bits: q ends in 64 zero
+    bits, of which the shortening drops about 60, and the int below the
+    top of x is a * g for a just above q * 2^240."""
+    g = 3**63
+    hi = (2**64 * pow(2, -160, g)) % g + g * (2**159 // g + 1)
+    q, rest = divmod(hi << 160, g)
+    assert rest == 2**64 and hi.bit_length() == 160 and q % 2**64 == 0
+    exact = q * 2**240 + 1
+    x = Interval(hi - 1, hi, 400, 0, g)
+    assert _encloses(x, exact * g)
+    assert _encloses(x // g, exact) and _encloses(-x // -g, exact)
 
 
 @given(wide_ints, st.sampled_from([(1, 2), (6, 4), (6, 5), (5**40, 3), (5**40, 5**41)]))
@@ -309,6 +327,21 @@ def test_quotient_past_the_reach_of_exact_values():
     assert trace.h[100] / trace.h[99] == pytest.approx(2)
 
 
+def test_slow_geometric_growth_past_the_reach_of_exact_values():
+    """(y, z, w, x*y) is not affine, though from (2, 2, 2, 2) its bits grow
+    by only about 22 % a step: its values, powers of 2, reach about 3 x 10^8 bits
+    at N = 100, so only the interval path gets there, well under a second,
+    with the exact heights as far as those can be computed."""
+    variables = ("x", "y", "z", "w")
+    phi = parse_map(["y", "z", "w", "x*y"], variables)
+    f, start = parse_expression("x", variables), [Fraction(2)] * 4
+    t0 = time.perf_counter()
+    trace = iterate_orbit(phi, f, start, 100, heights_only=True)
+    assert time.perf_counter() - t0 < 1.0
+    assert trace.stop_reason == "completed" and type(trace.coords[100][0]) is Interval
+    assert trace.h[:41] == iterate_orbit(phi, f, start, 40).h
+
+
 GCD = "fell back: an interval holds no exact int for a gcd"
 
 
@@ -321,28 +354,48 @@ GCD = "fell back: an interval holds no exact int for a gcd"
     (["y", "x*y+1"], "y/2", ["3", "4"], 15, "promoted"),  # y/2 has resultant 2 and den 2
     (["x+1"], "x", ["0"], 50, "ints only"),  # degree 1: values stay small
     (["x^2-1"], "x", ["0"], 50, "ints only"),  # the cycle 0, -1
+    (["2*x+1"], "x", ["1/3"], 400, "ints only"),  # resultant 2, a bit a step to 400 bits
+    (["y", "x+y"], "y", ["1", "1"], 400, "ints only"),  # Fibonacci: 0.7 bits a step
+    (["x/2+1"], "x", ["1/3"], 400, "ints only"),  # affine with den 2: dens 3 * 2^n
+    # not affine, though its bits grow by only about 22 % a step: e_{n+4} = e_n + e_{n+1}
+    # for the exponents of 2, past 160 bits at n = 25
+    (["y", "z", "w", "x*y"], "x", ["2", "2", "2", "2"], 40, "promoted"),
+    # the start is 1/2 + 5^15, near the fixed point 1/2 in the 5-adic metric:
+    # every value of the map, and the observable at N = 14, divides by R = 5,
+    # which uses up all but one factor 5 of the modulus 5^(N - n + 2)
+    (["(x^2+1)/(x+2)"], "(x^2+1)/(x+2)", [f"{2 * 5**15 + 1}/2"], 14, "promoted"),
 ], ids=["square", "quotient", "shared-root", "product", "product-rational", "product-halved",
-        "shift", "cycle"])
+        "shift", "cycle", "affine-slow", "fibonacci-slow", "affine-halved", "tribonacci-like",
+        "quotient-every-step"])
 def test_which_orbits_are_promoted(maps, observable, start, n_max, expected):
     """Every gap job without ell starts on ints; a value past 160 bits turns
     the state into intervals, whose residues take each gcd mod a resultant
-    R > 1.  A gcd of a form with R = 0 sends the job back to ints."""
-    job = _gap_job(("x", "y")[:len(maps)], maps, observable, start, n_max)
+    R > 1, unless the map is affine: its values gain only a few bits a step
+    and stay on ints.  A gcd of a form with R = 0 sends the job back to
+    ints."""
+    job = _gap_job(("x", "y", "z", "w")[:len(maps)], maps, observable, start, n_max)
     report, outcome, _ = _report_and_outcome(job)
     assert outcome == expected
     assert report == _exact_report(job)
 
 
-@pytest.mark.parametrize("maps", [["x^2-1"], ["x+1"]])
-def test_small_orbits_cost_what_exact_ones_do(maps):
-    """An orbit whose values stay small runs on ints either way: the heights
-    only trace pays one bit-length test per step, within 1.5x of the exact
-    path in the median of interleaved runs at N = 2000."""
-    phi, f = parse_map(maps, ("x",)), parse_expression("x", ("x",))
+@pytest.mark.parametrize("maps, start", [
+    (["x^2-1"], [0]),
+    (["x+1"], [0]),
+    (["2*x+1"], [0]),  # past 160 bits at n = 160, a bit a step
+    (["y", "x+y"], [1, 1]),  # Fibonacci: past 160 bits near n = 230
+], ids=["maps0", "maps1", "affine", "fibonacci"])
+def test_small_orbits_cost_what_exact_ones_do(maps, start):
+    """An orbit whose values stay small, or gain only a few bits a step,
+    runs on ints either way: the heights only trace pays one bit-length test
+    per step, within 1.5x of the exact path in the median of interleaved
+    runs at N = 2000."""
+    variables = ("x", "y")[:len(maps)]
+    phi, f = parse_map(maps, variables), parse_expression("x", variables)
     times = {True: [], False: []}
     for _ in range(9):
         for heights_only in times:
             t0 = time.perf_counter()
-            iterate_orbit(phi, f, [Fraction(0)], 2000, heights_only=heights_only)
+            iterate_orbit(phi, f, [Fraction(c) for c in start], 2000, heights_only=heights_only)
             times[heights_only].append(time.perf_counter() - t0)
     assert statistics.median(times[True]) < 1.5 * statistics.median(times[False])

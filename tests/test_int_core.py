@@ -284,6 +284,7 @@ def test_evaluate_matches_fraction_oracle(case):
     assert int_value(rf, point) == expected
     assert poly_value(rf.num, point) == oracle_poly(rf.num, point)
     assert poly_value(rf.den, point) == oracle_poly(rf.den, point)
+    assert rf.form.pair_at.__code__.co_names == ()  # arithmetic only, no global name
 
 
 wide_rationals = st.one_of(
@@ -600,14 +601,32 @@ def test_generated_source_ignores_variable_names(point):
     ("5", ()),
 ])
 def test_wrong_length_point_raises(text, variables):
+    """Every public entry that evaluates a form states the length rule of
+    `_IntForm.value`; the generated evaluator itself holds arithmetic only."""
     rf = parse_expression(text, variables)
+    phi = RationalMap(variables, (rf,))
     n = len(variables)
     for wrong in {n + 1, max(n - 1, 0)} - {n}:
         pairs = [(1, 2)] * wrong
-        with pytest.raises(DimensionMismatch):
-            rf.pair_at(pairs)
-        with pytest.raises(DimensionMismatch):
-            rf.num.pair_at(pairs)
+        for entry in (rf.pair_at, rf.num.pair_at, lambda p: p1_pair(rf, p),
+                      lambda p: step(phi, p)):
+            with pytest.raises(DimensionMismatch,
+                               match=f"^point has {wrong} coordinates, expected {n}$"):
+                entry(pairs)
+    for form in (rf.form, rf.num._form):
+        assert form.pair_at.__code__.co_names == ()
+
+
+def test_malformed_pair_of_a_right_length_point_raises_value_error():
+    """A point of the right length whose pair does not unpack is no length
+    mismatch: the ValueError of the unpacking comes through unchanged."""
+    rf = parse_expression("x^2+1", ("x",))
+    phi = RationalMap(("x",), (rf,))
+    for entry in (rf.pair_at, rf.num.pair_at, lambda p: p1_pair(rf, p),
+                  lambda p: step(phi, p)):
+        with pytest.raises(ValueError, match="too many values to unpack") as caught:
+            entry([(1, 2, 3)])
+        assert type(caught.value) is ValueError
 
 
 def test_coefficient_past_the_int_str_limit():
